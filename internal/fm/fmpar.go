@@ -7,8 +7,10 @@
 // serial half is cheap, without weakening any of FM's semantics:
 //
 //	round:  snapshot the eligible frontier (initially the tracked boundary)
-//	        and color its induced subgraph (kl.Classes over par.Color), so
-//	        nodes within a color class share no edge;
+//	        and color its induced subgraph (kl.Classes over par.Color:
+//	        greedy coloring in descending hashed-id priority, the closed
+//	        form of Jones–Plassmann), so nodes within a color class share
+//	        no edge;
 //	color:  for each class in ascending color order, evaluate every member's
 //	        connectivity row and best candidate move in parallel — a pure
 //	        function of round-start state, since no class neighbor can move
@@ -47,6 +49,7 @@
 package fm
 
 import (
+	"cmp"
 	"math"
 	"sort"
 
@@ -63,14 +66,14 @@ type parCand struct {
 	gain float64
 }
 
-// lessCand is the class commit order: gain descending, node id ascending —
+// cmpCand is the class commit order: gain descending, node id ascending —
 // a strict total order because ids are distinct, which is what makes the
 // merge's fixed point (and so the whole schedule) width-independent.
-func lessCand(a, b parCand) bool {
+func cmpCand(a, b parCand) int {
 	if a.gain != b.gain {
-		return a.gain > b.gain
+		return cmp.Compare(b.gain, a.gain)
 	}
-	return a.v < b.v
+	return cmp.Compare(a.v, b.v)
 }
 
 // growPar sizes the parallel-pass scratch; grow(n, parts) must have run.
@@ -217,7 +220,7 @@ func onePassPar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, minS
 			stopped = true
 			break
 		}
-		members, off := s.classes.Group(g, frontier, workers)
+		members, off := s.classes.Group(g, frontier)
 		s.nextGen++
 		next := s.next[:0]
 		addNext := func(v int) {
@@ -239,7 +242,7 @@ func onePassPar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, minS
 					return parCand{}, false
 				}
 				return parCand{v: int32(v), to: to, gain: gain}, true
-			}, lessCand)
+			}, cmpCand)
 			// Serial half: commit in (gain desc, id asc) order against live
 			// sizes and cuts, with the serial pass's legality/bounce/lock and
 			// best-prefix rules.

@@ -6,7 +6,8 @@ import (
 )
 
 // Classes groups a node set by a deterministic proper coloring of the set's
-// induced subgraph (par.Color: Jones–Plassmann over hashed-id priorities).
+// induced subgraph (par.Color: greedy coloring in descending hashed-id
+// priority, the closed form of Jones–Plassmann).
 // Two nodes of one color class share no edge, so their candidate moves can
 // be gain-evaluated concurrently against class-start state without one move
 // invalidating another's deltas — the shared scheduling substrate of the
@@ -40,14 +41,12 @@ func (cs *Classes) adj(i int, visit func(u int)) {
 }
 
 // Group colors the induced subgraph of nodes — which must be ascending and
-// duplicate-free — over `workers` goroutines and returns the set grouped
-// class by class: members[off[c]:off[c+1]] is color class c, internally
-// ascending (the counting sort iterates the ascending input in order). The
-// grouping is a pure function of (g, nodes): the coloring is bit-identical
-// at every width and the grouping sweep is serial, so every caller sweeping
-// "class by class, ascending inside" walks one deterministic permutation of
-// the set.
-func (cs *Classes) Group(g *graph.Graph, nodes []int, workers int) (members []int32, off []int32) {
+// duplicate-free — and returns the set grouped class by class:
+// members[off[c]:off[c+1]] is color class c, internally ascending (the
+// counting sort iterates the ascending input in order). The grouping is a
+// pure function of (g, nodes), so every caller sweeping "class by class,
+// ascending inside" walks one deterministic permutation of the set.
+func (cs *Classes) Group(g *graph.Graph, nodes []int) (members []int32, off []int32) {
 	if len(cs.bIndex) < g.NumNodes() {
 		cs.bIndex = make([]int32, g.NumNodes())
 	}
@@ -55,7 +54,7 @@ func (cs *Classes) Group(g *graph.Graph, nodes []int, workers int) (members []in
 		cs.bIndex[v] = int32(i + 1)
 	}
 	cs.g, cs.nodes = g, nodes
-	colors := cs.colors.Color(workers, len(nodes), cs.adj)
+	colors := cs.colors.Color(len(nodes), cs.adj)
 	cs.g, cs.nodes = nil, nil
 	nColors := 0
 	for _, cl := range colors {

@@ -7,18 +7,19 @@
 // every decision depends on all earlier ones — an inherently sequential
 // chain. The colored climb breaks the chain where it is provably slack: each
 // pass walks the boundary in index-contiguous tiles, and a deterministic
-// coloring of each tile's induced subgraph (par.Color) splits the tile into
-// color classes with no internal edges, so within a class no committed move
-// can change another member's neighborhood. That makes the expensive
-// per-node work — the O(deg) scan producing each member's candidate parts
-// and cut deltas — a pure function of the class-start state, evaluated in
-// parallel over par-owned index ranges. Commits then replay serially within
-// the class in descending provisional-gain order (biggest class-start winner
-// first, ascending node id on ties), folding each candidate's cut deltas
-// with the *current* part weights (and cuts), so a class sweep is exactly a
-// serial sweep of its members and a move is taken only if it strictly
-// improves the fitness at commit time; the partition.Eval aggregates stay
-// exact move by move.
+// coloring of each tile's induced subgraph (par.Color: greedy coloring in
+// descending hashed-id priority, the closed form of Jones–Plassmann) splits
+// the tile into color classes with no internal edges, so within a class no
+// committed move can change another member's neighborhood. That makes the
+// expensive per-node work — the O(deg) scan producing each member's
+// candidate parts and cut deltas — a pure function of the class-start
+// state, evaluated in parallel over par-owned index ranges. Commits then
+// replay serially within the class in descending provisional-gain order
+// (biggest class-start winner first, ascending node id on ties), folding
+// each candidate's cut deltas with the *current* part weights (and cuts), so
+// a class sweep is exactly a serial sweep of its members and a move is taken
+// only if it strictly improves the fitness at commit time; the
+// partition.Eval aggregates stay exact move by move.
 //
 // The whole climb is therefore the serial climb run over a deterministic
 // permutation of each pass's boundary — (tile, color, gain) order instead
@@ -33,8 +34,9 @@
 package kl
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -203,7 +205,7 @@ func (c *colorClimber) pass() int {
 // evaluated concurrently (tiles run sequentially), so only intra-tile
 // adjacency needs coloring.
 func (c *colorClimber) sweepTile(tile []int) int {
-	members, off := c.classes.Group(c.g, tile, c.workers)
+	members, off := c.classes.Group(c.g, tile)
 	moves := 0
 	for cl := 0; cl < len(off)-1; cl++ {
 		moves += c.sweepClass(members[off[cl]:off[cl+1]])
@@ -311,12 +313,11 @@ func (c *colorClimber) sweepClass(members []int32) int {
 	for j := range order {
 		order[j] = int32(j)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := order[a], order[b]
-		if c.provGain[ja] != c.provGain[jb] {
-			return c.provGain[ja] > c.provGain[jb]
+	slices.SortFunc(order, func(ja, jb int32) int {
+		if d := cmp.Compare(c.provGain[jb], c.provGain[ja]); d != 0 {
+			return d
 		}
-		return ja < jb
+		return cmp.Compare(ja, jb)
 	})
 	moves := 0
 	for _, j := range order {

@@ -11,17 +11,20 @@
 // Theta(n·parts) structures dominate wall time.
 //
 // The sweep is parallel under the repository-wide Workers bit-identity
-// contract, borrowing the colored-tile discipline of package kl: the
-// boundary snapshot is walked in index-contiguous tiles, each tile's induced
-// subgraph is deterministically colored (par.Color), members of one color
-// class — which share no edge — are gain-evaluated concurrently over
-// par-owned index ranges, and commits replay serially in ascending node
-// order. The worker count changes which goroutine evaluates which member,
-// never a decision, so any width yields bit-identical partitions.
+// contract, borrowing the colored-tile discipline (and the kl.Classes
+// grouping) of package kl: the boundary snapshot is walked in
+// index-contiguous tiles, each tile's induced subgraph is colored by
+// par.Color — greedy coloring in descending hashed-id priority, the closed
+// form of Jones–Plassmann — members of one color class, which share no
+// edge, are gain-evaluated concurrently over par-owned index ranges, and
+// commits replay serially in ascending node order. The worker count changes
+// which goroutine evaluates which member, never a decision, so any width
+// yields bit-identical partitions.
 package lp
 
 import (
 	"repro/internal/graph"
+	"repro/internal/kl"
 	"repro/internal/par"
 	"repro/internal/partition"
 )
@@ -79,16 +82,12 @@ type workerScratch struct {
 // sweeper carries one refinement's state; all slices are reused across
 // tiles, classes, and passes.
 type sweeper struct {
-	bIndex    []int32 // graph node -> 1 + position in the current tile; 0 = absent
-	bsnap     []int   // per-pass ascending boundary snapshot
-	members   []int32 // tile nodes grouped by color
-	classOff  []int32
-	classFill []int32
-	off       []int32 // candidate range start per class member
-	bestTo    []int32 // chosen destination per class member; -1 = stay
-	cands     []moveCand
-	workers   []workerScratch
-	colors    par.ColorScratch
+	bsnap   []int      // per-pass ascending boundary snapshot
+	classes kl.Classes // per-tile coloring + class grouping
+	off     []int32    // candidate range start per class member
+	bestTo  []int32    // chosen destination per class member; -1 = stay
+	cands   []moveCand
+	workers []workerScratch
 }
 
 // RefineEval improves p in place through ev (which must track the boundary;
@@ -137,9 +136,6 @@ func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg 
 		}
 		sc.stamp = 1
 	}
-	if len(s.bIndex) < g.NumNodes() {
-		s.bIndex = make([]int32, g.NumNodes())
-	}
 	moves := 0
 	for pass := 0; pass < maxPasses; pass++ {
 		if cfg.Stop != nil && cfg.Stop() {
@@ -169,52 +165,14 @@ func (s *sweeper) pass(g *graph.Graph, p *partition.Partition, ev *partition.Eva
 	return moves
 }
 
-// sweepTile colors the tile's induced subgraph and sweeps its color classes
+// sweepTile groups the tile into color classes (kl.Classes) and sweeps them
 // in ascending color order, exactly like kl's colored climb: tiles run
 // sequentially, so only intra-tile adjacency needs coloring.
 func (s *sweeper) sweepTile(g *graph.Graph, p *partition.Partition, ev *partition.Eval, workers int, maxLoad float64, tile []int) int {
-	for i, v := range tile {
-		s.bIndex[v] = int32(i + 1)
-	}
-	colors := s.colors.Color(workers, len(tile), func(i int, visit func(u int)) {
-		for _, u := range g.Neighbors(tile[i]) {
-			if j := s.bIndex[u]; j > 0 {
-				visit(int(j - 1))
-			}
-		}
-	})
-	nColors := 0
-	for _, cl := range colors {
-		if int(cl) >= nColors {
-			nColors = int(cl) + 1
-		}
-	}
-	s.classOff = ensureInt32(s.classOff, nColors+1)
-	for i := range s.classOff {
-		s.classOff[i] = 0
-	}
-	for _, cl := range colors {
-		s.classOff[cl+1]++
-	}
-	for cl := 0; cl < nColors; cl++ {
-		s.classOff[cl+1] += s.classOff[cl]
-	}
-	s.members = ensureInt32(s.members, len(tile))
-	s.classFill = ensureInt32(s.classFill, nColors)
-	for i := range s.classFill {
-		s.classFill[i] = 0
-	}
-	for i, v := range tile {
-		cl := colors[i]
-		s.members[s.classOff[cl]+s.classFill[cl]] = int32(v)
-		s.classFill[cl]++
-	}
-	for _, v := range tile {
-		s.bIndex[v] = 0
-	}
+	members, off := s.classes.Group(g, tile)
 	moves := 0
-	for cl := 0; cl < nColors; cl++ {
-		moves += s.sweepClass(g, p, ev, workers, maxLoad, s.members[s.classOff[cl]:s.classOff[cl+1]])
+	for cl := 0; cl < len(off)-1; cl++ {
+		moves += s.sweepClass(g, p, ev, workers, maxLoad, members[off[cl]:off[cl+1]])
 	}
 	return moves
 }

@@ -1,6 +1,6 @@
 package par
 
-import "sort"
+import "slices"
 
 // Merger is the deterministic merge/select primitive under the parallel
 // refiners' candidate scheduling: it evaluates one optional candidate per
@@ -16,18 +16,19 @@ type Merger[T any] struct {
 
 // Collect runs gen(i) for every i in [0, n) over `workers` goroutines
 // (<= 0 selects GOMAXPROCS), keeping the values for which gen reported true,
-// and returns them sorted by less. gen must be a pure function of i and
-// round-start state — it may write only locations owned by i plus its own
-// locals — which is the standard For contract.
+// and returns them sorted by cmp (negative: a sorts first, as in
+// slices.SortFunc). gen must be a pure function of i and round-start state
+// — it may write only locations owned by i plus its own locals — which is
+// the standard For contract.
 //
 // The result is then independent of the worker count and schedule by
 // construction: each candidate lands in its index-owned slot, the kept ones
-// are compacted serially in ascending index order, and when less is a strict
-// total order (no two kept candidates compare equal both ways) the sort has
-// exactly one fixed point. The parallel FM pass feeds this a
+// are compacted serially in ascending index order, and when cmp is a strict
+// total order (it returns 0 for no two distinct kept candidates) the sort
+// has exactly one fixed point. The parallel FM pass feeds this a
 // (gain descending, node id ascending) order, which is total because ids are
 // distinct.
-func (m *Merger[T]) Collect(workers, n int, gen func(i int) (T, bool), less func(a, b T) bool) []T {
+func (m *Merger[T]) Collect(workers, n int, gen func(i int) (T, bool), cmp func(a, b T) int) []T {
 	if cap(m.vals) < n {
 		m.vals = make([]T, n)
 		m.keep = make([]bool, n)
@@ -45,6 +46,6 @@ func (m *Merger[T]) Collect(workers, n int, gen func(i int) (T, bool), less func
 		}
 	}
 	m.out = out
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	slices.SortFunc(out, cmp)
 	return out
 }

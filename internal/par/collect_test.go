@@ -1,6 +1,7 @@
 package par
 
 import (
+	"cmp"
 	"math/rand"
 	"testing"
 )
@@ -12,11 +13,11 @@ type collectCand struct {
 
 // The refiners' candidate order: gain descending, id ascending — a strict
 // total order because ids are distinct.
-func candLess(a, b collectCand) bool {
+func candCmp(a, b collectCand) int {
 	if a.gain != b.gain {
-		return a.gain > b.gain
+		return cmp.Compare(b.gain, a.gain)
 	}
-	return a.id < b.id
+	return cmp.Compare(a.id, b.id)
 }
 
 func TestMergerCollectWidthsIdentical(t *testing.T) {
@@ -35,10 +36,10 @@ func TestMergerCollectWidthsIdentical(t *testing.T) {
 			return collectCand{id: i, gain: gains[i]}, kept[i]
 		}
 		var ref Merger[collectCand]
-		want := append([]collectCand(nil), ref.Collect(1, n, gen, candLess)...)
+		want := append([]collectCand(nil), ref.Collect(1, n, gen, candCmp)...)
 		for _, workers := range []int{2, 3, 4, 8, 0} {
 			var m Merger[collectCand]
-			got := m.Collect(workers, n, gen, candLess)
+			got := m.Collect(workers, n, gen, candCmp)
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d n=%d: %d candidates, want %d", workers, n, len(got), len(want))
 			}
@@ -56,7 +57,7 @@ func TestMergerCollectSortsTotalOrder(t *testing.T) {
 	gains := []float64{3, 1, 3, 2, 3, 1}
 	out := m.Collect(2, len(gains), func(i int) (collectCand, bool) {
 		return collectCand{id: i, gain: gains[i]}, true
-	}, candLess)
+	}, candCmp)
 	want := []collectCand{{0, 3}, {2, 3}, {4, 3}, {3, 2}, {1, 1}, {5, 1}}
 	for i := range want {
 		if out[i] != want[i] {
@@ -71,10 +72,10 @@ func TestMergerCollectReuse(t *testing.T) {
 	var m Merger[collectCand]
 	m.Collect(2, 100, func(i int) (collectCand, bool) {
 		return collectCand{id: i, gain: 1}, true
-	}, candLess)
+	}, candCmp)
 	out := m.Collect(2, 4, func(i int) (collectCand, bool) {
 		return collectCand{id: i, gain: float64(i)}, i%2 == 0
-	}, candLess)
+	}, candCmp)
 	want := []collectCand{{2, 2}, {0, 0}}
 	if len(out) != len(want) {
 		t.Fatalf("got %d candidates, want %d", len(out), len(want))

@@ -1,18 +1,26 @@
 package par
 
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
+
 // Color computes a proper coloring of the n-node graph whose adjacency is
 // given by adj: adj(v, visit) must call visit(u) for every neighbor u of v
 // (self-visits are ignored; the relation must be symmetric). It returns one
 // color per node, 0-based and dense from 0.
 //
-// The algorithm is Jones–Plassmann over hashed-id priorities: in rounds, every
-// uncolored node whose priority beats all of its uncolored neighbors takes the
-// smallest color absent from its already-colored neighborhood. Decisions in a
-// round read only the previous round's state and each node writes only its own
-// slot, so the coloring — like everything built on package par — is
-// bit-identical for every worker count and schedule. The priority hash is a
-// fixed bijection of the node index, so ties cannot occur and the round
-// structure is a pure function of the graph.
+// The algorithm is greedy coloring in descending hashed-id priority, the
+// closed form of Jones–Plassmann: one sweep visits the nodes in descending
+// prio order and gives each the smallest color absent from its
+// already-colored — that is, higher-priority — neighbors. A Jones–Plassmann
+// round colors a node exactly when all of its higher-priority neighbors are
+// colored and none of its lower-priority ones are, with that same smallest
+// absent color, so the sweep reproduces the round-based coloring bit for bit
+// while calling adj once per node: O(Σ degree + n log n), no rounds. The
+// priority hash is a fixed bijection of the node index, so ties cannot occur
+// and the coloring is a pure function of the graph.
 //
 // The refiners use this on the boundary-induced subgraph of a partition: two
 // nodes of one color class share no edge, so their candidate moves can be
@@ -22,9 +30,9 @@ package par
 // Color allocates its result and working buffers fresh; callers that color
 // repeatedly (one tile at a time, pass after pass) should hold a ColorScratch
 // and call its Color method instead.
-func Color(workers, n int, adj func(v int, visit func(u int))) []int32 {
+func Color(n int, adj func(v int, visit func(u int))) []int32 {
 	var s ColorScratch
-	return s.Color(workers, n, adj)
+	return s.Color(n, adj)
 }
 
 // ColorScratch owns Color's result and working buffers so repeated colorings
@@ -32,134 +40,88 @@ func Color(workers, n int, adj func(v int, visit func(u int))) []int32 {
 // Color method aliases the scratch and is valid until the next call; a
 // scratch is not safe for concurrent use.
 type ColorScratch struct {
-	color   []int32
-	active  []int32
-	decided []int32
-	workers []colorWorker
+	// order is [0, len(order)) in descending prio. prio depends on the index
+	// alone, so the order depends on the set size alone and is rebuilt only
+	// when the size changes: every full tile shares one.
+	order []prioNode
+	v     *colorVisitor
 }
 
-// colorWorker is one worker's per-round visitor state. The adjacency
-// callbacks below are bound methods created once per worker chunk, not
-// per node — with per-node closures, every visited node costs a heap
-// allocation for the closure and its captured locals, which at a few hundred
-// thousand boundary-node visits per refinement dominated the climber's
-// allocation profile.
-type colorWorker struct {
-	v     int
-	pv    uint64
-	wins  bool
+type prioNode struct {
+	prio uint64
+	i    int32
+}
+
+// colorVisitor records the colors of the visited neighbors in a bitset.
+// visit is its bound visitUsed, created once per scratch: a method value
+// passed to adj escapes, so binding it per call would allocate every call.
+type colorVisitor struct {
 	color []int32
-	mask  uint64
-	high  []int32
+	used  []uint64 // bit c set: some visited neighbor has color c
+	words int      // used[:words] covers every color assigned so far
+	visit func(u int)
 }
 
-// visitWins is the round's priority contest: v loses to any uncolored
-// neighbor with higher priority.
-func (w *colorWorker) visitWins(u int) {
-	if u != w.v && w.color[u] < 0 && prio(u) > w.pv {
-		w.wins = false
-	}
-}
-
-// visitUsed records the colors of v's colored neighbors. Colors below 64
-// are tracked in a bitmask; the rare higher ones (a node with 64+
-// distinctly-colored neighbors) fall back to a slice scan.
-func (w *colorWorker) visitUsed(u int) {
+func (w *colorVisitor) visitUsed(u int) {
 	if c := w.color[u]; c >= 0 {
-		if c < 64 {
-			w.mask |= 1 << uint(c)
-		} else {
-			w.high = append(w.high, c)
-		}
-	}
-}
-
-// smallestAbsent returns the smallest color not recorded by visitUsed.
-func (w *colorWorker) smallestAbsent() int32 {
-	for c := int32(0); ; c++ {
-		if c < 64 {
-			if w.mask&(1<<uint(c)) == 0 {
-				return c
-			}
-			continue
-		}
-		used := false
-		for _, h := range w.high {
-			if h == c {
-				used = true
-				break
-			}
-		}
-		if !used {
-			return c
-		}
+		w.used[c>>6] |= 1 << uint(c&63)
 	}
 }
 
 // Color is the package-level Color drawing the result and every working
-// buffer from s; the two are bit-identical for all inputs and worker counts.
-func (s *ColorScratch) Color(workers, n int, adj func(v int, visit func(u int))) []int32 {
-	if cap(s.color) < n {
-		s.color = make([]int32, n)
-		s.active = make([]int32, n)
-		s.decided = make([]int32, n)
+// buffer from s; the two are bit-identical for all inputs.
+func (s *ColorScratch) Color(n int, adj func(v int, visit func(u int))) []int32 {
+	if s.v == nil {
+		s.v = new(colorVisitor)
+		s.v.visit = s.v.visitUsed
 	}
-	color := s.color[:n]
+	w := s.v
+	if cap(w.color) < n {
+		w.color = make([]int32, n)
+		w.used = make([]uint64, n/64+1)
+	}
+	color := w.color[:n]
 	for i := range color {
 		color[i] = -1
 	}
-	if n == 0 {
-		return color
-	}
-	active := s.active[:n]
-	for i := range active {
-		active[i] = int32(i)
-	}
-	decided := s.decided[:n]
-	w := Workers(workers)
-	if len(s.workers) < w {
-		s.workers = make([]colorWorker, w)
-	}
-	for len(active) > 0 {
-		m := len(active)
-		For(workers, m, func(worker, lo, hi int) {
-			cw := &s.workers[worker]
-			cw.color = color
-			winsFn := cw.visitWins
-			usedFn := cw.visitUsed
-			for i := lo; i < hi; i++ {
-				v := int(active[i])
-				cw.v, cw.pv, cw.wins = v, prio(v), true
-				adj(v, winsFn)
-				if !cw.wins {
-					decided[i] = -1
-					continue
-				}
-				cw.mask, cw.high = 0, cw.high[:0]
-				adj(v, usedFn)
-				decided[i] = cw.smallestAbsent()
-			}
-		})
-		// Apply after all decisions: a round reads only pre-round colors.
-		// Compaction preserves relative order, so the next round's active
-		// list — and with it every fn(index) mapping — stays deterministic.
-		next := active[:0]
-		for i := 0; i < m; i++ {
-			v := active[i]
-			if decided[i] >= 0 {
-				color[v] = decided[i]
-			} else {
-				next = append(next, v)
+	w.color, w.words = color, 1
+	for _, pn := range s.orderOf(n) {
+		used := w.used[:w.words]
+		clear(used)
+		adj(int(pn.i), w.visit)
+		c := len(used) * 64
+		for k, bitsUsed := range used {
+			if bitsUsed != ^uint64(0) {
+				c = k*64 + bits.TrailingZeros64(^bitsUsed)
+				break
 			}
 		}
-		active = next
+		color[pn.i] = int32(c)
+		if c>>6 >= w.words {
+			w.words = c>>6 + 1
+		}
 	}
 	return color
 }
 
+// orderOf returns the nodes [0, n) in descending prio, from the cache when
+// the last call had the same n.
+func (s *ColorScratch) orderOf(n int) []prioNode {
+	if len(s.order) == n {
+		return s.order
+	}
+	order := s.order[:0]
+	for i := 0; i < n; i++ {
+		order = append(order, prioNode{prio(i), int32(i)})
+	}
+	slices.SortFunc(order, func(a, b prioNode) int { return cmp.Compare(b.prio, a.prio) })
+	s.order = order
+	return order
+}
+
 // prio is a splitmix64-style finalizer: a bijection on 64-bit integers, so
-// distinct nodes always have distinct priorities and Jones–Plassmann rounds
-// need no tie-breaking.
+// distinct nodes always have distinct priorities and the coloring order
+// needs no tie-breaking.
 func prio(v int) uint64 {
 	x := uint64(v) + 0x9e3779b97f4a7c15
 	x ^= x >> 30
