@@ -8,6 +8,12 @@
 // The paper's GA uses boundary hill climbing (kl.HillClimb); FM is the
 // stronger refinement used by the multilevel pipeline (the paper's "prior
 // graph contraction" outlook) and by the ablation benchmarks.
+//
+// Two pass schedules share one Config, one Scratch, and one prologue and
+// pass loop: RefineEval pops a single global gain heap (the classic pass,
+// also the flat "fm" algorithm), and RefineEvalPar runs the colored,
+// gain-ordered schedule of fmpar.go. They are distinct deterministic
+// algorithms; the multilevel pipeline picks one per level by size.
 package fm
 
 import (
@@ -86,14 +92,9 @@ func (s *Scratch) Reserve(n, parts int) {
 	s.s.grow(n, parts)
 }
 
-// Refine improves p in place, minimizing the edge cut subject to the
-// balance constraint, and returns the total cut reduction.
-func Refine(g *graph.Graph, p *partition.Partition, cfg Config) float64 {
-	return RefineEval(g, p, nil, cfg)
-}
-
-// RefineEval is Refine for callers that track the partition's cached
-// aggregates: every move kept by a pass is applied through ev, so ev stays
+// RefineEval improves p in place with the heap pass, minimizing the edge
+// cut subject to the balance constraint, and returns the total cut
+// reduction. Every move kept by a pass is applied through ev, so ev stays
 // exactly in sync with p at O(deg) per kept move and never needs a rescan.
 // The multilevel pipeline relies on this to carry one Eval across FM
 // refinement at every uncoarsening level. A nil ev is rebuilt from p with
@@ -111,6 +112,27 @@ func Refine(g *graph.Graph, p *partition.Partition, cfg Config) float64 {
 // because non-boundary nodes never produced heap candidates in the first
 // place.
 func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) float64 {
+	return refine(g, p, cfg, func(*scratch) *partition.Eval {
+		if ev == nil {
+			ev = partition.NewEvalBoundary(g, p)
+		}
+		return ev
+	}, func(ev *partition.Eval, s *scratch, minSize, maxSize int) (float64, bool) {
+		return onePass(g, p, ev, minSize, maxSize, s, cfg.Workers, cfg.Objective), false
+	})
+}
+
+// refine is the prologue and pass loop RefineEval and RefineEvalPar share:
+// the CommVolume panic, the MaxPasses default, the empty-input check, the
+// balance window, and the scratch checkout. setup returns the Eval the
+// passes run on — each schedule builds a missing one its own way, because
+// the serial and sharded scans differ in floating-point bits on
+// float-weighted graphs — and pass runs one pass, reporting the gain kept
+// and whether Stop cut it short. The loop ends on a non-improving or
+// stopped pass.
+func refine(g *graph.Graph, p *partition.Partition, cfg Config,
+	setup func(s *scratch) *partition.Eval,
+	pass func(ev *partition.Eval, s *scratch, minSize, maxSize int) (float64, bool)) float64 {
 	if cfg.Objective == partition.CommVolume {
 		panic("fm: CommVolume objective is not supported (use the kl refiners)")
 	}
@@ -121,9 +143,6 @@ func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg 
 	n := g.NumNodes()
 	if n == 0 || p.Parts < 2 {
 		return 0
-	}
-	if ev == nil {
-		ev = partition.NewEvalBoundary(g, p)
 	}
 	ideal := float64(n) / float64(p.Parts)
 	slack := cfg.BalanceSlack
@@ -143,14 +162,15 @@ func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg 
 	} else {
 		s = newScratch(n, p.Parts)
 	}
+	ev := setup(s)
 	var total float64
-	for pass := 0; pass < maxPasses; pass++ {
+	for i := 0; i < maxPasses; i++ {
 		if cfg.Stop != nil && cfg.Stop() {
 			break
 		}
-		gain := onePass(g, p, ev, minSize, maxSize, s, cfg.Workers, cfg.Objective)
+		gain, stopped := pass(ev, s, minSize, maxSize)
 		total += gain
-		if gain <= 0 {
+		if stopped || gain <= 0 {
 			break
 		}
 	}

@@ -17,7 +17,7 @@ func TestRefineNeverWorsensCut(t *testing.T) {
 	for _, parts := range []int{2, 4, 8} {
 		p := partition.RandomBalanced(g.NumNodes(), parts, rng)
 		before := p.CutSize(g)
-		gain := Refine(g, p, Config{})
+		gain := RefineEval(g, p, nil, Config{})
 		after := p.CutSize(g)
 		if after > before {
 			t.Errorf("parts=%d: cut worsened %v -> %v", parts, before, after)
@@ -32,7 +32,7 @@ func TestRefineRespectsBalance(t *testing.T) {
 	g := gen.PaperGraph(144)
 	rng := rand.New(rand.NewSource(2))
 	p := partition.RandomBalanced(g.NumNodes(), 4, rng)
-	Refine(g, p, Config{BalanceSlack: 2})
+	RefineEval(g, p, nil, Config{BalanceSlack: 2})
 	sizes := p.PartSizes()
 	ideal := float64(g.NumNodes()) / 4
 	for q, s := range sizes {
@@ -57,7 +57,7 @@ func TestRefineTwoCliques(t *testing.T) {
 	g := b.Build()
 	p := partition.New(10, 2)
 	p.Assign = []uint16{0, 0, 1, 1, 0, 1, 1, 0, 0, 1}
-	Refine(g, p, Config{})
+	RefineEval(g, p, nil, Config{})
 	if cut := p.CutSize(g); cut != 1 {
 		t.Errorf("FM cut = %v, want 1 (assign %v)", cut, p.Assign)
 	}
@@ -72,7 +72,7 @@ func TestRefineBeatsSimpleHillClimbOnAverage(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p1 := partition.RandomBalanced(g.NumNodes(), 8, rng)
 		p2 := p1.Clone()
-		Refine(g, p1, Config{})
+		RefineEval(g, p1, nil, Config{})
 		kl.HillClimb(g, p2, partition.TotalCut, 0)
 		fmSum += p1.CutSize(g)
 		hcSum += p2.CutSize(g)
@@ -85,13 +85,13 @@ func TestRefineBeatsSimpleHillClimbOnAverage(t *testing.T) {
 func TestRefineEmptyAndDegenerate(t *testing.T) {
 	empty := graph.NewBuilder(0).Build()
 	p := partition.New(0, 2)
-	if gain := Refine(empty, p, Config{}); gain != 0 {
+	if gain := RefineEval(empty, p, nil, Config{}); gain != 0 {
 		t.Errorf("empty graph gain %v", gain)
 	}
 	// Single part: nothing to do.
 	g := gen.Mesh(20, 3)
 	p1 := partition.New(20, 1)
-	if gain := Refine(g, p1, Config{}); gain != 0 {
+	if gain := RefineEval(g, p1, nil, Config{}); gain != 0 {
 		t.Errorf("1-part gain %v", gain)
 	}
 }
@@ -105,7 +105,7 @@ func TestRefineWeightedEdges(t *testing.T) {
 	g := b.Build()
 	p := partition.New(3, 2)
 	p.Assign = []uint16{0, 1, 1} // cuts the heavy edge
-	Refine(g, p, Config{BalanceSlack: 1})
+	RefineEval(g, p, nil, Config{BalanceSlack: 1})
 	if p.Assign[0] == p.Assign[1] {
 		return // heavy edge internal: good
 	}
@@ -122,7 +122,7 @@ func TestQuickRefineInvariants(t *testing.T) {
 		parts := 2 + rng.Intn(6)
 		p := partition.RandomBalanced(n, parts, rng)
 		before := p.CutSize(g)
-		Refine(g, p, Config{})
+		RefineEval(g, p, nil, Config{})
 		if p.Validate(g) != nil || p.CutSize(g) > before {
 			return false
 		}

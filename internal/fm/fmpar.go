@@ -50,7 +50,6 @@ package fm
 
 import (
 	"cmp"
-	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -99,11 +98,6 @@ func (s *scratch) growPar(n, parts int) {
 	}
 }
 
-// RefinePar is Refine on the parallel (round, color, gain-order) schedule.
-func RefinePar(g *graph.Graph, p *partition.Partition, cfg Config) float64 {
-	return RefineEvalPar(g, p, nil, cfg)
-}
-
 // RefineEvalPar is the deterministic-parallel counterpart of RefineEval: the
 // same pass structure (balance slack, one move per node per pass, plateau
 // moves with best-prefix keep, applied through ev), but scheduled by the
@@ -111,8 +105,8 @@ func RefinePar(g *graph.Graph, p *partition.Partition, cfg Config) float64 {
 // gain evaluation — the pass's dominant cost — runs over cfg.Workers
 // goroutines. Results are bit-identical for every Workers value; they are
 // NOT bit-identical to RefineEval (a different deterministic schedule, with
-// cuts of the same character). Above Config.FMParThreshold the multilevel
-// pipeline refines with this instead of RefineEval.
+// cuts of the same character). The multilevel pipeline refines levels of at
+// least 50k nodes with this instead of RefineEval.
 //
 // Stop is polled before each pass and additionally between color rounds
 // inside a pass; a mid-pass stop still applies the best prefix found so far
@@ -121,54 +115,18 @@ func RefinePar(g *graph.Graph, p *partition.Partition, cfg Config) float64 {
 // commvol to the kl refiners) and rebuilds a nil or untracked ev with
 // boundary tracking.
 func RefineEvalPar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) float64 {
-	if cfg.Objective == partition.CommVolume {
-		panic("fm: CommVolume objective is not supported (use the kl refiners)")
-	}
-	maxPasses := cfg.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 16
-	}
-	n := g.NumNodes()
-	if n == 0 || p.Parts < 2 {
-		return 0
-	}
-	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
-	} else if !ev.TracksBoundary() {
-		ev.ResetBoundaryPar(g, p, cfg.Workers)
-	}
-	ideal := float64(n) / float64(p.Parts)
-	slack := cfg.BalanceSlack
-	if slack <= 0 {
-		slack = int(math.Ceil(ideal/50)) + 1
-	}
-	minSize := int(math.Floor(ideal)) - slack
-	if minSize < 0 {
-		minSize = 0
-	}
-	maxSize := int(math.Ceil(ideal)) + slack
-
-	var s *scratch
-	if cfg.Scratch != nil {
-		s = &cfg.Scratch.s
-		s.grow(n, p.Parts)
-	} else {
-		s = newScratch(n, p.Parts)
-	}
-	s.growPar(n, p.Parts)
 	workers := par.Workers(cfg.Workers)
-	var total float64
-	for pass := 0; pass < maxPasses; pass++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			break
+	return refine(g, p, cfg, func(s *scratch) *partition.Eval {
+		if ev == nil {
+			ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
+		} else if !ev.TracksBoundary() {
+			ev.ResetBoundaryPar(g, p, cfg.Workers)
 		}
-		gain, stopped := onePassPar(g, p, ev, minSize, maxSize, s, workers, cfg.Objective, cfg.Stop)
-		total += gain
-		if stopped || gain <= 0 {
-			break
-		}
-	}
-	return total
+		s.growPar(g.NumNodes(), p.Parts)
+		return ev
+	}, func(ev *partition.Eval, s *scratch, minSize, maxSize int) (float64, bool) {
+		return onePassPar(g, p, ev, minSize, maxSize, s, workers, cfg.Objective, cfg.Stop)
+	})
 }
 
 // onePassPar runs one colored-schedule FM pass and returns the improvement

@@ -120,7 +120,7 @@ func TestRefineEvalParQualityComparable(t *testing.T) {
 // stop must still apply the best prefix found so far and leave the
 // partition, and the Eval threaded through the pass, in an exactly
 // consistent state.
-func TestRefineEvalParStopMidPass(t *testing.T) {
+func TestRefineEvalParMidPassStop(t *testing.T) {
 	g := gen.Mesh(900, 51)
 	rng := rand.New(rand.NewSource(52))
 	// Try successively later stop points: poll 1 stops before the first

@@ -18,7 +18,7 @@ func TestRefineMaxcutReducesWorstPart(t *testing.T) {
 	for _, parts := range []int{2, 4, 8} {
 		p := partition.RandomBalanced(g.NumNodes(), parts, rng)
 		before := p.MaxPartCut(g)
-		gain := Refine(g, p, Config{Objective: partition.WorstCut})
+		gain := RefineEval(g, p, nil, Config{Objective: partition.WorstCut})
 		after := p.MaxPartCut(g)
 		if after > before {
 			t.Errorf("parts=%d: max part cut worsened %v -> %v", parts, before, after)
@@ -39,8 +39,8 @@ func TestRefineMaxcutBeatsCutObjectiveSomewhere(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := partition.RandomBalanced(g.NumNodes(), 4, rng)
 		q := p.Clone()
-		Refine(g, p, Config{})
-		Refine(g, q, Config{Objective: partition.WorstCut})
+		RefineEval(g, p, nil, Config{})
+		RefineEval(g, q, nil, Config{Objective: partition.WorstCut})
 		if q.MaxPartCut(g) < p.MaxPartCut(g) {
 			improved = true
 			break
@@ -58,10 +58,10 @@ func TestRefineMaxcutWorkersBitIdentical(t *testing.T) {
 	start := partition.RandomBalanced(g.NumNodes(), 8, rng)
 
 	ref := start.Clone()
-	refGain := Refine(g, ref, Config{Objective: partition.WorstCut, Workers: 1})
+	refGain := RefineEval(g, ref, nil, Config{Objective: partition.WorstCut, Workers: 1})
 	for _, w := range []int{2, 4, 8, 0} {
 		p := start.Clone()
-		gain := Refine(g, p, Config{Objective: partition.WorstCut, Workers: w})
+		gain := RefineEval(g, p, nil, Config{Objective: partition.WorstCut, Workers: w})
 		if gain != refGain {
 			t.Fatalf("workers=%d: gain %v != serial %v", w, gain, refGain)
 		}
@@ -84,5 +84,5 @@ func TestRefineCommVolPanics(t *testing.T) {
 			t.Error("RefineEval accepted the CommVolume objective")
 		}
 	}()
-	Refine(g, p, Config{Objective: partition.CommVolume})
+	RefineEval(g, p, nil, Config{Objective: partition.CommVolume})
 }

@@ -44,34 +44,6 @@ import (
 	"repro/internal/partition"
 )
 
-// HillClimbColored performs boundary hill climbing with the colored parallel
-// sweep described above, spreading gain evaluation over `workers` goroutines
-// (<= 0 selects GOMAXPROCS; every width yields bit-identical results). Like
-// HillClimbEval it climbs until no move improves the objective o or maxPasses
-// passes complete (<= 0 means unlimited), keeps ev exactly in sync, and
-// returns the number of moves made. A nil ev is rebuilt from p; boundary
-// tracking is enabled on ev if it is not already.
-//
-// The visit order within a pass is (tile, color class, descending
-// provisional gain) rather than the serial climb's pure ascending order, so
-// the two climbers
-// are distinct (deterministic) algorithms that converge to local optima of
-// equal character but not necessarily bit-equal partitions. The GA's
-// offspring climbing keeps the serial sweep; the multilevel uncoarsening
-// phase and the flat kl/fm registry algorithms use this one.
-func HillClimbColored(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses, workers int, ev *partition.Eval) int {
-	return hillClimbColored(g, p, o, maxPasses, workers, ev, nil)
-}
-
-// HillClimbColoredStop is HillClimbColored with cooperative cancellation: a
-// non-nil stop is polled before each pass, and the climb returns its move
-// count so far once it reports true. Pass boundaries are consistent states
-// (ev stays exactly in sync with p), so an early return is a valid — just
-// less refined — partition.
-func HillClimbColoredStop(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses, workers int, ev *partition.Eval, stop func() bool) int {
-	return hillClimbColored(g, p, o, maxPasses, workers, ev, stop)
-}
-
 // climberPool recycles colorClimber scratch across climbs: the multilevel
 // uncoarsening phase runs two climbs per level, and the O(n) bIndex plus the
 // tile/class buffers otherwise reallocate at every one. Pooled state never
@@ -80,7 +52,26 @@ func HillClimbColoredStop(g *graph.Graph, p *partition.Partition, o partition.Ob
 // climb (bIndex), or explicitly reset on checkout (the class stamps).
 var climberPool = sync.Pool{New: func() any { return new(colorClimber) }}
 
-func hillClimbColored(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses, workers int, ev *partition.Eval, stop func() bool) int {
+// HillClimbColored performs boundary hill climbing with the colored parallel
+// sweep described above, spreading gain evaluation over cfg.Workers
+// goroutines (<= 0 selects GOMAXPROCS; every width yields bit-identical
+// results). Like HillClimbEval it climbs until no move improves
+// cfg.Objective or cfg.MaxPasses passes complete (<= 0 means unlimited),
+// keeps ev exactly in sync, and returns the number of moves made. A nil ev
+// is rebuilt from p; boundary tracking is enabled on ev if it is not
+// already. A non-nil cfg.Stop is polled before each pass, and the climb
+// returns its move count so far once it reports true. Pass boundaries are
+// consistent states (ev stays exactly in sync with p), so an early return
+// is a valid — just less refined — partition.
+//
+// The visit order within a pass is (tile, color class, descending
+// provisional gain) rather than the serial climb's pure ascending order, so
+// the two climbers are distinct (deterministic) algorithms that converge to
+// local optima of equal character but not necessarily bit-equal partitions. The GA's
+// offspring climbing keeps the serial sweep; the multilevel uncoarsening
+// phase and the flat kl/fm registry algorithms use this one.
+func HillClimbColored(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	o, workers := cfg.Objective, cfg.Workers
 	if ev == nil {
 		ev = partition.NewEvalBoundaryPar(g, p, workers)
 	} else if !ev.TracksBoundary() {
@@ -111,8 +102,8 @@ func hillClimbColored(g *graph.Graph, p *partition.Partition, o partition.Object
 		c.scratch = nil
 	}
 	moves := 0
-	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
-		if stop != nil && stop() {
+	for pass := 0; cfg.MaxPasses <= 0 || pass < cfg.MaxPasses; pass++ {
+		if cfg.Stop != nil && cfg.Stop() {
 			break
 		}
 		m := c.pass()

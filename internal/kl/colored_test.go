@@ -91,8 +91,8 @@ func requireSameResult(t *testing.T, label string, g *graph.Graph, refP, p *part
 	}
 }
 
-// The tentpole contract: the colored climb, the full RefineEvalPar chain, and
-// RebalancePar are pure functions of their inputs — every worker width yields
+// The tentpole contract: the colored climb, the full Refine chain, and
+// Rebalance are pure functions of their inputs — every worker width yields
 // the identical partition AND identical Eval state.
 func TestColoredRefinersWidthBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -107,31 +107,32 @@ func TestColoredRefinersWidthBitIdentical(t *testing.T) {
 
 			refP := start.Clone()
 			refEv := partition.NewEvalBoundary(g, refP)
-			HillClimbColored(g, refP, partition.TotalCut, 0, 1, refEv)
+			HillClimbColored(g, refP, refEv, Config{Workers: 1})
 			for _, w := range widths[1:] {
 				p := start.Clone()
 				ev := partition.NewEvalBoundaryPar(g, p, w)
-				HillClimbColored(g, p, partition.TotalCut, 0, w, ev)
+				HillClimbColored(g, p, ev, Config{Workers: w})
 				requireSameResult(t, name+"/climb", g, refP, p, refEv, ev)
 			}
 
 			refP = start.Clone()
-			refEv = nil
-			{
-				refEv = partition.NewEvalBoundary(g, refP)
-				RefineEvalPar(g, refP, refEv, partition.TotalCut, 0, 1)
-			}
+			refEv = partition.NewEvalBoundary(g, refP)
+			Refine(g, refP, refEv, Config{Workers: 1})
 			for _, w := range widths[1:] {
 				p := start.Clone()
 				ev := partition.NewEvalBoundaryPar(g, p, w)
-				RefineEvalPar(g, p, ev, partition.TotalCut, 0, w)
+				Refine(g, p, ev, Config{Workers: w})
 				requireSameResult(t, name+"/refine", g, refP, p, refEv, ev)
 			}
 		}
 	}
 }
 
-func TestRebalanceParMatchesSerial(t *testing.T) {
+// Rebalance is one function at every width: widths 1/2/4/8 (and GOMAXPROCS)
+// reduce the tracked-boundary argmax to the identical node every iteration,
+// so partition and Eval state match bit for bit, and the untracked serial
+// rescan path (nil ev) lands on the same assignment.
+func TestRebalanceWidthsBitIdentical(t *testing.T) {
 	g := weightedRandomGraph(700, 41)
 	rng := rand.New(rand.NewSource(42))
 	// Grossly imbalanced start: everything in part 0 except a few nodes.
@@ -141,12 +142,19 @@ func TestRebalanceParMatchesSerial(t *testing.T) {
 	}
 	refP := p.Clone()
 	refEv := partition.NewEvalBoundary(g, refP)
-	Rebalance(g, refP, refEv, partition.TotalCut)
+	Rebalance(g, refP, refEv, partition.TotalCut, 1)
 	for _, w := range widths[1:] {
 		q := p.Clone()
 		ev := partition.NewEvalBoundary(g, q)
-		RebalancePar(g, q, ev, partition.TotalCut, w)
+		Rebalance(g, q, ev, partition.TotalCut, w)
 		requireSameResult(t, "rebalance", g, refP, q, refEv, ev)
+	}
+	q := p.Clone()
+	Rebalance(g, q, nil, partition.TotalCut, 1)
+	for v := range q.Assign {
+		if q.Assign[v] != refP.Assign[v] {
+			t.Fatalf("untracked rebalance diverges at node %d: %d vs %d", v, q.Assign[v], refP.Assign[v])
+		}
 	}
 }
 
@@ -161,7 +169,7 @@ func TestColoredClimbMonotoneAndConverges(t *testing.T) {
 			prev := p.Fitness(g, o)
 			ev := partition.NewEvalBoundary(g, p)
 			for pass := 0; pass < 50; pass++ {
-				moved := HillClimbColored(g, p, o, 1, 4, ev)
+				moved := HillClimbColored(g, p, ev, Config{Objective: o, MaxPasses: 1, Workers: 4})
 				fit := p.Fitness(g, o)
 				if fit < prev-1e-9 {
 					t.Fatalf("seed %d %v: pass %d worsened fitness %v -> %v", seed, o, pass, prev, fit)

@@ -2,6 +2,13 @@
 // pairwise-swap bisection improvement, and the boundary hill climbing of the
 // paper's §3.6 ("only the boundary points of each part are examined to see if
 // migrating them to the appropriate neighboring part improves fitness").
+//
+// The boundary climb comes in two distinct deterministic algorithms: the
+// serial HillClimb/HillClimbEval, the GA's offspring climber, and the
+// colored HillClimbColored (colored.go), the multilevel and flat-kl climber.
+// Refine chains the colored climb with Rebalance; the colored climb and
+// Refine take one Config (objective, passes, workers, stop), and Rebalance
+// is one function at every worker width.
 package kl
 
 import (
@@ -229,86 +236,67 @@ func Bisect(g *graph.Graph, p *partition.Partition) float64 {
 	}
 }
 
+// Config parameterizes the colored climb (HillClimbColored) and Refine.
+type Config struct {
+	// Objective selects the cost the climb's gains target; the zero value
+	// is TotalCut.
+	Objective partition.Objective
+	// MaxPasses caps the number of climbing passes; <= 0 means until a pass
+	// moves no node.
+	MaxPasses int
+	// Workers bounds the goroutines of the colored gain evaluation and the
+	// rebalance argmax (<= 0 selects GOMAXPROCS); a pure speed knob: every
+	// width yields bit-identical results.
+	Workers int
+	// Stop, when non-nil, is polled before each pass; a climb whose Stop
+	// reports true returns early, and Refine then skips its rebalance too —
+	// the caller asked for "soonest consistent state", and every pass
+	// boundary is one (the climb only ever applies complete, eval-synced
+	// moves).
+	Stop func() bool
+}
+
 // Refine improves a k-way partition by running the colored boundary climb
-// with the TotalCut objective, then rebalancing if hill climbing skewed part
-// weights: while some part exceeds the ideal weight by more than the
-// heaviest node, its boundary node whose move costs least is shifted to the
-// lightest part.
-func Refine(g *graph.Graph, p *partition.Partition, maxPasses int) {
-	RefineEvalPar(g, p, nil, partition.TotalCut, maxPasses, 1)
-}
-
-// RefineEval is RefineEvalPar at width 1, kept for callers without a worker
-// knob; the result is identical at every width.
-func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, maxPasses int) {
-	RefineEvalPar(g, p, ev, o, maxPasses, 1)
-}
-
-// RefineEvalPar is Refine for callers that already hold the partition's
-// cached aggregates, select the objective o the climb's gains target, and
-// want the gain evaluation spread over `workers` goroutines (<= 0 selects
-// GOMAXPROCS; results are bit-identical for every width). It skips the
-// O(V+E) Eval setup scan and keeps ev exactly in sync with every move it
-// makes (including rebalancing moves), so a caller can chain refinements —
-// the multilevel pipeline projects one Eval down its whole uncoarsening
-// hierarchy this way, because projection changes neither part weights nor
-// part cuts. A nil ev is rebuilt from p (by the sharded parallel scan) with
-// boundary tracking enabled, so even the flat path pays the full-graph scan
-// once instead of once per pass.
-func RefineEvalPar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, maxPasses, workers int) {
-	RefineEvalParStop(g, p, ev, o, maxPasses, workers, nil)
-}
-
-// RefineEvalParStop is RefineEvalPar with cooperative cancellation: a non-nil
-// stop is polled between climbing passes, and a refinement that stops early
-// skips the final rebalance too — the caller asked for "soonest consistent
-// state", and every pass boundary is one (the climb only ever applies
-// complete, eval-synced moves). A nil stop is exactly RefineEvalPar.
-func RefineEvalParStop(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, maxPasses, workers int, stop func() bool) {
+// (HillClimbColored), then rebalancing if hill climbing skewed part weights
+// (Rebalance). It keeps ev exactly in sync with every move it makes, so a
+// caller can chain refinements — the multilevel pipeline projects one Eval
+// down its whole uncoarsening hierarchy this way, because projection changes
+// neither part weights nor part cuts. A nil ev is rebuilt from p (by the
+// sharded parallel scan) with boundary tracking enabled, so even the flat
+// path pays the full-graph scan once instead of once per pass.
+func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) {
 	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, workers)
+		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
 	}
-	hillClimbColored(g, p, o, maxPasses, workers, ev, stop)
-	if stop != nil && stop() {
+	HillClimbColored(g, p, ev, cfg)
+	if cfg.Stop != nil && cfg.Stop() {
 		return
 	}
-	rebalance(g, p, ev, o, workers)
+	Rebalance(g, p, ev, cfg.Objective, cfg.Workers)
 }
 
 // Rebalance enforces the node-weight balance invariant on p without any
 // cut-improving ambition: it exists so refiners that tolerate transient
-// imbalance (FM's slack, projections from weighted coarse graphs) can
-// restore the contract afterwards. ev, when non-nil, is kept in sync. The
-// objective selects how the cheapest node to move is scored.
-func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective) {
-	rebalance(g, p, ev, o, 1)
-}
-
-// RebalancePar is Rebalance with each iteration's cheapest-node argmax
-// spread over `workers` goroutines. The scan's total order (score
-// descending, node id ascending) makes the winner independent of visit
-// order, so the parallel reduction picks exactly the node the serial scan
-// picks — bit-identical results at every width.
-func RebalancePar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, workers int) {
-	rebalance(g, p, ev, o, workers)
-}
-
-// rebalance enforces near-perfect weight balance by moving cheapest boundary
-// nodes out of overweight parts until no part exceeds the ideal weight W/k
-// by more than the heaviest single node — the resolution limit of
+// imbalance (FM's slack, label propagation, projections from weighted
+// coarse graphs) can restore the contract afterwards. It moves cheapest
+// boundary nodes out of overweight parts until no part exceeds the ideal
+// weight W/k by more than the heaviest single node — the resolution limit of
 // single-node moves, and exactly the old "ideal count + 1" rule on unit
 // weights. Balancing weight rather than node count is what makes the coarse
 // levels of the multilevel pipeline (where node weights are member counts)
 // and weighted workloads come out right. When ev is non-nil its aggregates
 // supply the part weights and are kept in sync with every move; a tracked
 // boundary set additionally replaces the per-move O(V+E) boundary rescans,
-// and its argmax is reduced over `workers` goroutines (par.Reduce's fixed
-// chunk grid plus the scan's total order keep the winner width-independent).
+// and its argmax is reduced over `workers` goroutines (<= 0 selects
+// GOMAXPROCS). The scan's total order (score descending, node id ascending)
+// plus par.Reduce's fixed chunk grid make the winner independent of visit
+// order and width, so every width picks exactly the node the serial scan
+// picks.
 // The objective selects the node-cost model: the cut objectives score a
 // candidate by edge weight (edges gained into the destination minus edges
 // left behind), CommVolume by the negated volume delta of the move when the
 // Eval tracks per-(node, part) counts.
-func rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, workers int) {
+func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, workers int) {
 	n := g.NumNodes()
 	ideal := g.TotalNodeWeight() / float64(p.Parts)
 	var maxNodeW float64

@@ -126,7 +126,7 @@ func TestRefineRestoresBalance(t *testing.T) {
 		}
 	}
 	_ = rng
-	Refine(g, p, 0)
+	Refine(g, p, nil, Config{})
 	sizes := p.PartSizes()
 	ideal := float64(g.NumNodes()) / 4
 	for q, s := range sizes {

@@ -105,7 +105,7 @@ func TestMoveDeltaMatchesFullEvaluationAllObjectives(t *testing.T) {
 }
 
 // The Workers contract extends to every objective: the colored climb and the
-// full RefineEvalPar chain under maxcut and commvol are pure functions of
+// full Refine chain under maxcut and commvol are pure functions of
 // their inputs — identical partition and identical Eval state at every width.
 func TestColoredRefinersWidthBitIdenticalObjectives(t *testing.T) {
 	for name, g := range objectiveTestGraphs() {
@@ -116,21 +116,21 @@ func TestColoredRefinersWidthBitIdenticalObjectives(t *testing.T) {
 
 			refP := start.Clone()
 			refEv := partition.NewEvalBoundary(g, refP)
-			HillClimbColored(g, refP, o, 0, 1, refEv)
+			HillClimbColored(g, refP, refEv, Config{Objective: o, Workers: 1})
 			for _, w := range widths[1:] {
 				p := start.Clone()
 				ev := partition.NewEvalBoundaryPar(g, p, w)
-				HillClimbColored(g, p, o, 0, w, ev)
+				HillClimbColored(g, p, ev, Config{Objective: o, Workers: w})
 				requireSameResult(t, label+"/climb", g, refP, p, refEv, ev)
 			}
 
 			refP = start.Clone()
 			refEv = partition.NewEvalBoundary(g, refP)
-			RefineEvalPar(g, refP, refEv, o, 0, 1)
+			Refine(g, refP, refEv, Config{Objective: o, Workers: 1})
 			for _, w := range widths[1:] {
 				p := start.Clone()
 				ev := partition.NewEvalBoundaryPar(g, p, w)
-				RefineEvalPar(g, p, ev, o, 0, w)
+				Refine(g, p, ev, Config{Objective: o, Workers: w})
 				requireSameResult(t, label+"/refine", g, refP, p, refEv, ev)
 				if o == partition.CommVolume {
 					// The tracked volume must also land exactly on a rescan.
@@ -154,7 +154,7 @@ func TestColoredClimbCommVolMonotoneAndConverges(t *testing.T) {
 		prev := p.Fitness(g, partition.CommVolume)
 		ev := partition.NewEvalBoundary(g, p)
 		for pass := 0; pass < 50; pass++ {
-			moved := HillClimbColored(g, p, partition.CommVolume, 1, 4, ev)
+			moved := HillClimbColored(g, p, ev, Config{Objective: partition.CommVolume, MaxPasses: 1, Workers: 4})
 			fit := p.Fitness(g, partition.CommVolume)
 			if fit < prev-1e-9 {
 				t.Fatalf("seed %d: pass %d worsened fitness %v -> %v", seed, pass, prev, fit)

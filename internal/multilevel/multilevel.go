@@ -25,6 +25,10 @@
 // and refines with the colored boundary climb (kl.HillClimbColored), FM with
 // parallel heap seeding, and the parallel rebalance argmax — all of which
 // are bit-identical at every width by construction.
+//
+// Which refiner runs on a level follows from its size, not from an option,
+// as in KaMinPar: label propagation plus a rebalance from 250k nodes up,
+// Config.Refiner below, with FM on the colored schedule from 50k nodes up.
 package multilevel
 
 import (
@@ -180,10 +184,6 @@ const (
 	// and keeping the best prefix), then a final climb-and-rebalance. This
 	// is what gives multilevel its METIS-like quality.
 	RefineKLFM Refiner = iota
-	// RefineKL is pure boundary hill climbing (kl.RefineEval) with
-	// rebalancing: the cheapest option, at some cut quality cost on graphs
-	// with long straight boundaries.
-	RefineKL
 	// RefineFM is pure Fiduccia–Mattheyses refinement plus a rebalancing
 	// sweep (FM's balance slack cannot drain imbalance inherited from
 	// weighted coarse levels on its own).
@@ -198,8 +198,6 @@ func (r Refiner) String() string {
 	switch r {
 	case RefineKLFM:
 		return "kl+fm"
-	case RefineKL:
-		return "kl"
 	case RefineFM:
 		return "fm"
 	case RefineNone:
@@ -237,29 +235,6 @@ type Config struct {
 	// projection, because node identities change.
 	Objective partition.Objective
 	Seed      int64
-	// LPThreshold is the node count at or above which a level's refinement
-	// switches from the KL/FM combination to the size-constrained
-	// label-propagation refiner (package lp): one deterministic colored
-	// sweep per pass, O(deg) per boundary node, no gain heaps — the
-	// KaMinPar-style cheap refiner for levels where KL/FM gain structures
-	// dominate wall time. 0 selects DefaultLPThreshold (250k nodes — above
-	// every committed sub-million baseline, so the default changes no
-	// committed cut); negative disables the switch at every size. The
-	// refiner honors the same Workers bit-identity contract and Stop
-	// polling as the KL/FM path.
-	LPThreshold int
-	// FMParThreshold is the node count at or above which a level's FM
-	// refinement runs the deterministic-parallel colored schedule
-	// (fm.RefineEvalPar) instead of the serial heap pass: the per-move gain
-	// evaluation — FM's dominant cost on big levels — fans out over Workers
-	// while the schedule itself stays a pure function of the level's state,
-	// so the Workers bit-identity contract holds unchanged. Below the
-	// threshold the serial pass wins (coloring and merging overhead beats
-	// the heap only once levels are large). 0 selects DefaultFMParThreshold
-	// (50k nodes); negative disables the switch at every size. The two
-	// passes are distinct deterministic algorithms: flipping the threshold
-	// changes cuts (comparably good), never determinism.
-	FMParThreshold int
 	// Stats, when non-nil, receives the run's phase timings.
 	Stats *Stats
 	// Stop, when non-nil, requests cooperative cancellation: it is polled
@@ -290,7 +265,7 @@ type Stats struct {
 	// uncoarsening wall time to the label-propagation sweeps, the KL colored
 	// climbs (including rebalance), and the FM passes individually. The three
 	// sum to slightly less than Refine (loop overhead is unattributed).
-	RefineLP    time.Duration // lp.RefineEval above LPThreshold
+	RefineLP    time.Duration // lp.RefineEval on levels of at least 250k nodes
 	RefineClimb time.Duration // kl climbs + rebalance
 	RefineFM    time.Duration // fm.RefineEval / fm.RefineEvalPar
 
@@ -300,18 +275,19 @@ type Stats struct {
 	RefineBytes      uint64 // ... during per-level refinement
 }
 
-// DefaultLPThreshold is the node count at which Config.LPThreshold == 0
-// switches a level's refinement to label propagation. It sits above every
-// committed sub-million benchmark case (the largest is 100k nodes), so the
-// default-path cuts of all existing baselines are untouched.
-const DefaultLPThreshold = 250_000
+// lpMinNodes is the level size from which uncoarsening refines with the
+// size-constrained label-propagation sweep (package lp) instead of the
+// configured KL/FM refiner, whose Theta(n·parts) gain structures dominate
+// wall time and allocation up there. 250k nodes sits above every committed
+// sub-million benchmark case.
+const lpMinNodes = 250_000
 
-// DefaultFMParThreshold is the node count at which Config.FMParThreshold == 0
-// switches a level's FM refinement to the deterministic-parallel colored
-// schedule. At 50k nodes the parallel pass's coloring/merge overhead is well
-// amortized by the fanned-out gain evaluation; the scale100k and scale1M
-// benchmark tiers cross it, the small diverse/weighted tiers do not.
-const DefaultFMParThreshold = 50_000
+// fmParMinNodes is the level size from which FM runs the
+// deterministic-parallel colored schedule (fm.RefineEvalPar) instead of the
+// serial heap pass (fm.RefineEval): big levels amortize the coloring and
+// merge overhead, small ones do not. The two are distinct deterministic
+// algorithms, so the switch shapes cuts, never determinism.
+const fmParMinNodes = 50_000
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -323,12 +299,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.RefinePasses == 0 {
 		out.RefinePasses = 4
-	}
-	if out.LPThreshold == 0 {
-		out.LPThreshold = DefaultLPThreshold
-	}
-	if out.FMParThreshold == 0 {
-		out.FMParThreshold = DefaultFMParThreshold
 	}
 	return out
 }
@@ -457,6 +427,16 @@ func (hs *hierarchyScratch) buildHierarchy(g *graph.Graph, coarsestSize, maxLeve
 // projects the result back up the hierarchy with boundary refinement at
 // every level.
 func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partition, error) {
+	return vcycle(g, cfg, inner, lpMinNodes, fmParMinNodes, nil)
+}
+
+// vcycle is Partition with the two level-size switches as arguments: levels
+// of at least lpMin nodes refine with label propagation, and FM runs the
+// colored schedule on levels of at least fmParMin nodes. Tests move the
+// switches to reach every refiner on small graphs. A non-nil check sees
+// every refined level's graph, partition, and Eval, so tests can hold the
+// Eval against a recount.
+func vcycle(g *graph.Graph, cfg Config, inner Partitioner, lpMin, fmParMin int, check func(*graph.Graph, *partition.Partition, *partition.Eval)) (*partition.Partition, error) {
 	c := cfg.withDefaults()
 	if c.Parts <= 0 {
 		return nil, fmt.Errorf("multilevel: invalid part count %d", c.Parts)
@@ -552,16 +532,13 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 		start = time.Now()
 		alloc = allocSnap(meter)
 		stopped := c.Stop != nil && c.Stop()
-		useLP := c.LPThreshold > 0 && n >= c.LPThreshold
 		// fmPass runs this level's FM refinement: the deterministic-parallel
-		// colored schedule at or above FMParThreshold, the serial heap pass
-		// below it (both share hs.fm's arena). The two are distinct
-		// deterministic algorithms, so the threshold changes cuts but every
-		// Workers value still reproduces Workers=1 bit for bit.
+		// colored schedule from fmParMin nodes up, the serial heap pass below
+		// (both share hs.fm's arena).
 		fmPass := func(passes int) {
 			t := time.Now()
 			cfg := fm.Config{MaxPasses: passes, Workers: c.Workers, Objective: c.Objective, Stop: c.Stop, Scratch: &hs.fm}
-			if c.FMParThreshold > 0 && n >= c.FMParThreshold {
+			if n >= fmParMin {
 				fm.RefineEvalPar(lvl.Graph, fine, ev, cfg)
 			} else {
 				fm.RefineEval(lvl.Graph, fine, ev, cfg)
@@ -573,13 +550,15 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 			f()
 			stats.RefineClimb += time.Since(t)
 		}
+		klCfg := kl.Config{Objective: c.Objective, MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop}
+		rebalance := func() { climb(func() { kl.Rebalance(lvl.Graph, fine, ev, c.Objective, c.Workers) }) }
 		switch {
 		case stopped:
 			// Cancellation between levels: skip this level's refinement
 			// entirely but keep projecting — the loop must reach levels[0]
 			// for the partition to be a valid answer for g.
 		case c.Refiner == RefineNone:
-		case useLP:
+		case n >= lpMin:
 			// Million-node levels: the KL/FM gain structures (Theta(n·parts)
 			// connectivity, gain heaps) dominate wall time and allocation up
 			// here, so refine with the size-constrained label-propagation
@@ -587,7 +566,7 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 			t := time.Now()
 			lp.RefineEval(lvl.Graph, fine, ev, lp.Config{MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop, Scratch: &hs.lp})
 			stats.RefineLP += time.Since(t)
-			climb(func() { kl.RebalancePar(lvl.Graph, fine, ev, c.Objective, c.Workers) })
+			rebalance()
 		case c.Refiner == RefineKLFM:
 			// Climb first (each pass is cheap and takes every strictly
 			// improving move), then a single FM pass to slide through the
@@ -595,21 +574,24 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 			// climb-and-rebalance to harvest what FM exposed. Under CommVolume
 			// the FM step is skipped (fm does not support that objective), so
 			// the combination degrades to pure colored climbing.
-			climb(func() { kl.HillClimbColoredStop(lvl.Graph, fine, c.Objective, c.RefinePasses, c.Workers, ev, c.Stop) })
+			climb(func() { kl.HillClimbColored(lvl.Graph, fine, ev, klCfg) })
 			if c.Objective != partition.CommVolume {
 				fmPass(1)
 			}
-			climb(func() { kl.RefineEvalParStop(lvl.Graph, fine, ev, c.Objective, 1, c.Workers, c.Stop) })
-		case c.Refiner == RefineKL:
-			climb(func() { kl.RefineEvalParStop(lvl.Graph, fine, ev, c.Objective, c.RefinePasses, c.Workers, c.Stop) })
+			final := klCfg
+			final.MaxPasses = 1
+			climb(func() { kl.Refine(lvl.Graph, fine, ev, final) })
 		case c.Refiner == RefineFM:
 			if c.Objective != partition.CommVolume {
 				fmPass(c.RefinePasses)
 			}
-			climb(func() { kl.RebalancePar(lvl.Graph, fine, ev, c.Objective, c.Workers) })
+			rebalance()
 		}
 		stats.Refine += time.Since(start)
 		stats.RefineBytes += allocSnap(meter) - alloc
+		if check != nil {
+			check(lvl.Graph, fine, ev)
+		}
 		p = fine
 	}
 	if c.Stats != nil {

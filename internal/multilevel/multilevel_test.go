@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -212,7 +213,7 @@ func TestPartitionWorkersBitIdentical(t *testing.T) {
 	// The whole V-cycle — hierarchy, coarse solve, refinement — must be a
 	// pure function of the seed, independent of the pipeline width.
 	g := gen.Mesh(900, 13)
-	for _, ref := range []Refiner{RefineKLFM, RefineKL, RefineFM} {
+	for _, ref := range []Refiner{RefineKLFM, RefineFM} {
 		base, err := Partition(g, Config{Parts: 4, Seed: 5, Refiner: ref, Workers: 1}, rsbInner)
 		if err != nil {
 			t.Fatalf("%v: %v", ref, err)
@@ -243,7 +244,7 @@ func TestQuickPartitionWorkersBitIdentical(t *testing.T) {
 			"weighted": randomWeightedGraph(250+80*int(seed), seed*17),
 		}
 		for name, g := range graphs {
-			for _, ref := range []Refiner{RefineKLFM, RefineKL, RefineFM} {
+			for _, ref := range []Refiner{RefineKLFM, RefineFM} {
 				base, err := Partition(g, Config{Parts: 4, Seed: seed, Refiner: ref, Workers: 1}, klInner)
 				if err != nil {
 					t.Fatalf("%s %v: %v", name, ref, err)
@@ -264,10 +265,10 @@ func TestQuickPartitionWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// Forcing FMParThreshold to 1 routes every level's FM through the
-// deterministic-parallel colored schedule, so the full V-cycle must still
-// reproduce the Workers=1 partition bit for bit at every width — the
-// cross-layer pin of the parallel FM pass in its production seat.
+// Moving the colored-FM switch down to 1 node routes every level's FM
+// through the deterministic-parallel colored schedule, so the full V-cycle
+// must still reproduce the Workers=1 partition bit for bit at every width —
+// the cross-layer pin of the parallel FM pass in its production seat.
 func TestPartitionFMParWorkersBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		graphs := map[string]*graph.Graph{
@@ -277,14 +278,14 @@ func TestPartitionFMParWorkersBitIdentical(t *testing.T) {
 		for name, g := range graphs {
 			for _, obj := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
 				for _, ref := range []Refiner{RefineKLFM, RefineFM} {
-					cfg := Config{Parts: 4, Seed: seed, Refiner: ref, Objective: obj, FMParThreshold: 1, Workers: 1}
-					base, err := Partition(g, cfg, klInner)
+					cfg := Config{Parts: 4, Seed: seed, Refiner: ref, Objective: obj, Workers: 1}
+					base, err := vcycle(g, cfg, klInner, lpMinNodes, 1, nil)
 					if err != nil {
 						t.Fatalf("%s %v %v: %v", name, ref, obj, err)
 					}
 					for _, workers := range []int{2, 4, 8} {
 						cfg.Workers = workers
-						p, err := Partition(g, cfg, klInner)
+						p, err := vcycle(g, cfg, klInner, lpMinNodes, 1, nil)
 						if err != nil {
 							t.Fatalf("%s %v %v workers=%d: %v", name, ref, obj, workers, err)
 						}
@@ -297,6 +298,83 @@ func TestPartitionFMParWorkersBitIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Moving the label-propagation switch down to 1 node refines every level
+// with lp plus a rebalance, the path production reaches only above 250k
+// nodes. The V-cycle must still reproduce the Workers=1 partition bit for
+// bit at every width, return a valid partition, and keep the Eval it
+// carries down the hierarchy equal to a brute-force recount at every level.
+func TestPartitionLPEveryLevel(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"mesh":     gen.Mesh(700, 3),
+		"weighted": randomWeightedGraph(500, 29),
+	}
+	for name, g := range graphs {
+		for _, obj := range []partition.Objective{partition.TotalCut, partition.CommVolume} {
+			for _, ref := range []Refiner{RefineKLFM, RefineFM} {
+				label := fmt.Sprintf("%s %v %s", name, ref, obj.FlagName())
+				var base *partition.Partition
+				for _, workers := range []int{1, 2, 4, 8} {
+					var st Stats
+					levels := 0
+					check := func(lg *graph.Graph, p *partition.Partition, ev *partition.Eval) {
+						levels++
+						requireEvalMatchesRecount(t, label, lg, p, ev, obj)
+					}
+					cfg := Config{Parts: 4, Seed: 7, Refiner: ref, Objective: obj, Workers: workers, Stats: &st}
+					p, err := vcycle(g, cfg, klInner, 1, fmParMinNodes, check)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", label, workers, err)
+					}
+					if err := p.Validate(g); err != nil {
+						t.Fatalf("%s workers=%d: %v", label, workers, err)
+					}
+					if levels == 0 || levels != st.Levels || st.RefineLP <= 0 || st.RefineFM != 0 {
+						t.Fatalf("%s workers=%d: lp did not refine every level (checked %d of %d levels, stats %+v)",
+							label, workers, levels, st.Levels, st)
+					}
+					if base == nil {
+						base = p
+						continue
+					}
+					for v := range p.Assign {
+						if p.Assign[v] != base.Assign[v] {
+							t.Fatalf("%s workers=%d: node %d differs", label, workers, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// requireEvalMatchesRecount holds the V-cycle's carried Eval against a
+// from-scratch count on the level's graph: part weights, part cuts, the
+// tracked boundary set and, under CommVolume, the tracked volume.
+func requireEvalMatchesRecount(t *testing.T, label string, g *graph.Graph, p *partition.Partition, ev *partition.Eval, obj partition.Objective) {
+	t.Helper()
+	want := partition.NewEval(g, p)
+	for q := range want.Weights {
+		if math.Abs(ev.Weights[q]-want.Weights[q]) > 1e-9 || math.Abs(ev.Cuts[q]-want.Cuts[q]) > 1e-9 {
+			t.Fatalf("%s n=%d part %d: eval weight/cut %v/%v, recount %v/%v",
+				label, g.NumNodes(), q, ev.Weights[q], ev.Cuts[q], want.Weights[q], want.Cuts[q])
+		}
+	}
+	got, wantB := ev.Boundary(), p.BoundaryNodes(g)
+	if len(got) != len(wantB) {
+		t.Fatalf("%s n=%d: boundary has %d nodes, recount %d", label, g.NumNodes(), len(got), len(wantB))
+	}
+	for i := range got {
+		if got[i] != wantB[i] {
+			t.Fatalf("%s n=%d: boundary[%d] = %d, recount %d", label, g.NumNodes(), i, got[i], wantB[i])
+		}
+	}
+	if obj == partition.CommVolume {
+		if got, want := ev.CommVol(), p.CommVolume(g); got != want {
+			t.Fatalf("%s n=%d: tracked CommVol %v, recount %v", label, g.NumNodes(), got, want)
 		}
 	}
 }

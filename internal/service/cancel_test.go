@@ -81,12 +81,12 @@ func TestCancelQueuedJobImmediate(t *testing.T) {
 	defer close(ctl.release)
 	g := testGraph(t)
 
-	running, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: 1})
+	running, err := e.Submit(stored(g), "test-block", algo.Options{Parts: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.waitStarted(t)
-	queued, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: 2})
+	queued, err := e.Submit(stored(g), "test-block", algo.Options{Parts: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCancelRunningJobObservedAndNeverCached(t *testing.T) {
 	g := testGraph(t)
 	opts := algo.Options{Parts: 2, Seed: 3}
 
-	info, err := e.Submit(g, "test-block", opts)
+	info, err := e.Submit(stored(g), "test-block", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCancelRunningJobObservedAndNeverCached(t *testing.T) {
 	// algorithm did return a valid partition at its checkpoint) is discarded,
 	// never cached.
 	close(ctl.release)
-	again, err := e.Submit(g, "test-block", opts)
+	again, err := e.Submit(stored(g), "test-block", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestCancelCoalescedJobLeavesSibling(t *testing.T) {
 	g := testGraph(t)
 	opts := algo.Options{Parts: 2, Seed: 4}
 
-	a, err := e.Submit(g, "test-block", opts)
+	a, err := e.Submit(stored(g), "test-block", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.waitStarted(t)
-	b, err := e.Submit(g, "test-block", opts) // coalesces onto a's computation
+	b, err := e.Submit(stored(g), "test-block", opts) // coalesces onto a's computation
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestCloseVsSubmitWaitRace(t *testing.T) {
 	g := testGraph(t)
 
 	// Occupy the single worker so every subsequent submission queues.
-	running, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: 10})
+	running, err := e.Submit(stored(g), "test-block", algo.Options{Parts: 2, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCloseVsSubmitWaitRace(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			// Distinct seeds: distinct queued computations.
-			j, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: int64(100 + i)})
+			j, err := e.Submit(stored(g), "test-block", algo.Options{Parts: 2, Seed: int64(100 + i)})
 			enqueued <- struct{}{}
 			if err != nil {
 				results[i] = outcome{err: err}
@@ -323,7 +323,7 @@ func TestCloseVsSubmitWaitRace(t *testing.T) {
 	if final.State != service.StateDone {
 		t.Errorf("running job state %s after Close, want done (Close lets running jobs finish)", final.State)
 	}
-	if _, err := e.Submit(g, "grow", algo.Options{Parts: 2}); !errors.Is(err, service.ErrEngineClosed) {
+	if _, err := e.Submit(stored(g), "grow", algo.Options{Parts: 2}); !errors.Is(err, service.ErrEngineClosed) {
 		t.Errorf("Submit after Close: %v, want ErrEngineClosed", err)
 	}
 }

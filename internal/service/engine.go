@@ -352,20 +352,14 @@ func validateRequest(g *graph.Graph, algoName string, opts algo.Options) *Reques
 	return nil
 }
 
-// Submit validates a request against the registry's declared constraints and
-// either answers it from the cache, attaches it to an identical in-flight
-// computation, or queues a new computation. It returns the job's snapshot;
+// Submit validates a request for a graph held in a GraphStore against the
+// registry's declared constraints and either answers it from the cache,
+// attaches it to an identical in-flight computation, or queues a new
+// computation. The stored content address keys the cache directly, so no
+// rehash happens — an N-spec batch over one stored graph costs one parse
+// and one hash total, both paid at PUT time. It returns the job's snapshot;
 // poll GetJob or block on WaitJob for completion.
-func (e *Engine) Submit(g *graph.Graph, algoName string, opts algo.Options) (JobInfo, error) {
-	_, info, err := e.submit(g, GraphHash(g), algoName, opts)
-	return info, err
-}
-
-// SubmitStored is Submit for a graph already held in a GraphStore: the
-// stored content address keys the cache directly, so no rehash happens —
-// an N-spec batch over one stored graph costs one parse and one hash total,
-// both paid at PUT time.
-func (e *Engine) SubmitStored(sg *StoredGraph, algoName string, opts algo.Options) (JobInfo, error) {
+func (e *Engine) Submit(sg *StoredGraph, algoName string, opts algo.Options) (JobInfo, error) {
 	_, info, err := e.submit(sg.Graph, sg.Hash, algoName, opts)
 	return info, err
 }
@@ -374,16 +368,7 @@ func (e *Engine) SubmitStored(sg *StoredGraph, algoName string, opts algo.Option
 // is cancelled. It holds the job reference across the wait, so the result
 // is delivered even if a burst of other submissions evicts the job from
 // the pollable history meanwhile.
-func (e *Engine) SubmitWait(ctx context.Context, g *graph.Graph, algoName string, opts algo.Options) (JobInfo, error) {
-	j, info, err := e.submit(g, GraphHash(g), algoName, opts)
-	if err != nil {
-		return info, err
-	}
-	return e.waitOn(ctx, j)
-}
-
-// SubmitStoredWait is SubmitWait over a stored graph (see SubmitStored).
-func (e *Engine) SubmitStoredWait(ctx context.Context, sg *StoredGraph, algoName string, opts algo.Options) (JobInfo, error) {
+func (e *Engine) SubmitWait(ctx context.Context, sg *StoredGraph, algoName string, opts algo.Options) (JobInfo, error) {
 	j, info, err := e.submit(sg.Graph, sg.Hash, algoName, opts)
 	if err != nil {
 		return info, err
@@ -780,18 +765,4 @@ func (e *Engine) snapshotLocked(j *job) JobInfo {
 		info.Result = nil
 	}
 	return info
-}
-
-// normalizeOptions canonicalizes the fields that may not influence the
-// result: Workers and EvalWorkers are pure speed knobs (the internal/par
-// bit-identity contract), so they are zeroed out of the cache key and
-// replaced by the engine's own execution width, Ctx is per-submission
-// plumbing that never belongs in a key or an entry, and MultilevelStats is
-// an output-only sink.
-func normalizeOptions(o algo.Options) algo.Options {
-	o.Workers = 0
-	o.EvalWorkers = 0
-	o.Ctx = nil
-	o.MultilevelStats = nil
-	return o
 }

@@ -35,6 +35,13 @@ func coordFree(t *testing.T, g *graph.Graph) *graph.Graph {
 	return g2
 }
 
+// stored wraps g the way PUT /v1/graphs does — the parsed graph plus its
+// content address — ready for Engine.Submit.
+func stored(g *graph.Graph) *service.StoredGraph {
+	sg, _ := service.NewGraphStore(0).Put(g)
+	return sg
+}
+
 func waitDone(t *testing.T, e *service.Engine, id string) service.JobInfo {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -52,7 +59,7 @@ func TestSubmitComputesAndCaches(t *testing.T) {
 	g := testGraph(t)
 	opts := algo.Options{Parts: 4, Seed: 42}
 
-	first, err := e.Submit(g, "multilevel-kl", opts)
+	first, err := e.Submit(stored(g), "multilevel-kl", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func TestSubmitComputesAndCaches(t *testing.T) {
 		t.Fatalf("result covers %d of %d nodes", len(done.Result.Assign), g.NumNodes())
 	}
 
-	second, err := e.Submit(g, "multilevel-kl", opts)
+	second, err := e.Submit(stored(g), "multilevel-kl", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +95,7 @@ func TestSubmitComputesAndCaches(t *testing.T) {
 	}
 
 	// A different seed is a different key for a stochastic algorithm.
-	third, err := e.Submit(g, "multilevel-kl", algo.Options{Parts: 4, Seed: 43})
+	third, err := e.Submit(stored(g), "multilevel-kl", algo.Options{Parts: 4, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +111,12 @@ func TestSpeedKnobsNormalizedOutOfKey(t *testing.T) {
 	e := service.New(service.Config{Workers: 1, CacheBytes: 1 << 20})
 	defer e.Close()
 	g := testGraph(t)
-	a, err := e.Submit(g, "multilevel-kl", algo.Options{Parts: 4, Seed: 7, Workers: 1})
+	a, err := e.Submit(stored(g), "multilevel-kl", algo.Options{Parts: 4, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, e, a.ID)
-	b, err := e.Submit(g, "multilevel-kl", algo.Options{Parts: 4, Seed: 7, Workers: 3, EvalWorkers: 5})
+	b, err := e.Submit(stored(g), "multilevel-kl", algo.Options{Parts: 4, Seed: 7, Workers: 3, EvalWorkers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +140,12 @@ func TestCacheKeyIsContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := e.Submit(g, "kl", algo.Options{Parts: 4})
+	a, err := e.Submit(stored(g), "kl", algo.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, e, a.ID)
-	b, err := e.Submit(g2, "kl", algo.Options{Parts: 4})
+	b, err := e.Submit(stored(g2), "kl", algo.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +171,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			info, err := e.Submit(g, "multilevel-fm", opts)
+			info, err := e.Submit(stored(g), "multilevel-fm", opts)
 			if err != nil {
 				errs[i] = err
 				return
@@ -220,7 +227,7 @@ func TestPoolWidthDoesNotChangeResults(t *testing.T) {
 		var out [][]uint16
 		var ids []string
 		for seed := int64(0); seed < 4; seed++ {
-			info, err := e.Submit(g, "multilevel-kl", algo.Options{Parts: 4, Seed: seed})
+			info, err := e.Submit(stored(g), "multilevel-kl", algo.Options{Parts: 4, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +266,7 @@ func TestConstraintRejection(t *testing.T) {
 		{"rsb", 3, "parts_not_power_of_two"},
 	}
 	for _, c := range cases {
-		_, err := e.Submit(g, c.algo, algo.Options{Parts: c.parts})
+		_, err := e.Submit(stored(g), c.algo, algo.Options{Parts: c.parts})
 		re, ok := err.(*service.RequestError)
 		if !ok {
 			t.Errorf("%s/p%d: got %v, want RequestError", c.algo, c.parts, err)
@@ -280,7 +287,7 @@ func TestCacheEviction(t *testing.T) {
 	// exactly two and evict LRU-first on the third insert.
 	probe := service.New(service.Config{Workers: 1})
 	g := testGraph(t)
-	info, err := probe.Submit(g, "kl", algo.Options{Parts: 2, Seed: 0})
+	info, err := probe.Submit(stored(g), "kl", algo.Options{Parts: 2, Seed: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +301,7 @@ func TestCacheEviction(t *testing.T) {
 	e := service.New(service.Config{Workers: 1, CacheBytes: entryBytes*2 + entryBytes/2})
 	defer e.Close()
 	for seed := int64(0); seed < 3; seed++ {
-		info, err := e.Submit(g, "kl", algo.Options{Parts: 2, Seed: seed})
+		info, err := e.Submit(stored(g), "kl", algo.Options{Parts: 2, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +319,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// kl ignores Seed (deterministic), so seed 0 recomputes to the same
 	// partition after eviction — the determinism the cache key relies on.
-	info, err = e.Submit(g, "kl", algo.Options{Parts: 2, Seed: 0})
+	info, err = e.Submit(stored(g), "kl", algo.Options{Parts: 2, Seed: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +337,7 @@ func TestJobHistoryBounded(t *testing.T) {
 	g := testGraph(t)
 	var first string
 	for i := 0; i < 30; i++ {
-		info, err := e.Submit(g, "grow", algo.Options{Parts: 2})
+		info, err := e.Submit(stored(g), "grow", algo.Options{Parts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,12 +364,12 @@ func TestQueueBackpressure(t *testing.T) {
 	// Occupy the single worker with a GA run (hundreds of ms), then fill
 	// the queue with distinct computations.
 	slow := algo.Options{Parts: 2, Seed: 1, Generations: 60, PopSize: 64, Islands: 4}
-	if _, err := e.Submit(g, "dknux", slow); err != nil {
+	if _, err := e.Submit(stored(g), "dknux", slow); err != nil {
 		t.Fatal(err)
 	}
 	overloaded := false
 	for seed := int64(2); seed < 8; seed++ {
-		_, err := e.Submit(g, "multilevel-kl", algo.Options{Parts: 2, Seed: seed})
+		_, err := e.Submit(stored(g), "multilevel-kl", algo.Options{Parts: 2, Seed: seed})
 		if errors.Is(err, service.ErrOverloaded) {
 			overloaded = true
 			break
@@ -375,7 +382,7 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Error("6 submissions through a busy 1-worker engine with MaxQueue=2 never hit backpressure")
 	}
 	// Identical requests still coalesce — coalescing needs no queue slot.
-	if _, err := e.Submit(g, "dknux", slow); err != nil {
+	if _, err := e.Submit(stored(g), "dknux", slow); err != nil {
 		t.Errorf("coalescing onto the running job hit backpressure: %v", err)
 	}
 }
@@ -400,7 +407,7 @@ func TestPartsAboveUint16Rejected(t *testing.T) {
 	for v := 0; v+1 < n; v++ {
 		b.AddEdge(v, v+1, 1)
 	}
-	_, err := e.Submit(b.Build(), "scattered", algo.Options{Parts: 1<<16 + 1})
+	_, err := e.Submit(stored(b.Build()), "scattered", algo.Options{Parts: 1<<16 + 1})
 	re, ok := err.(*service.RequestError)
 	if !ok || re.Code != "bad_parts" {
 		t.Fatalf("got %v, want bad_parts RequestError", err)
@@ -413,7 +420,7 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 	var ids []string
 	for seed := int64(0); seed < 4; seed++ {
 		// Distinct seeds: four distinct computations through a 1-wide pool.
-		info, err := e.Submit(g, "multilevel-kl", algo.Options{Parts: 4, Seed: 100 + seed})
+		info, err := e.Submit(stored(g), "multilevel-kl", algo.Options{Parts: 4, Seed: 100 + seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +436,7 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 			t.Errorf("job %s left in state %s after Close", id, info.State)
 		}
 	}
-	if _, err := e.Submit(g, "kl", algo.Options{Parts: 2}); err == nil {
+	if _, err := e.Submit(stored(g), "kl", algo.Options{Parts: 2}); err == nil {
 		t.Error("Submit accepted after Close")
 	}
 }
@@ -441,7 +448,7 @@ func TestRuntimeFailureIsReported(t *testing.T) {
 	// Passes the submit-time constraint checks, but the GA rejects the
 	// configuration at run time (16 islands of 1 individual): the job must
 	// fail cleanly with the error preserved, not take the engine down.
-	info, err := e.Submit(g, "dknux", algo.Options{Parts: 2, PopSize: 16, Islands: 16, Generations: 1})
+	info, err := e.Submit(stored(g), "dknux", algo.Options{Parts: 2, PopSize: 16, Islands: 16, Generations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +460,7 @@ func TestRuntimeFailureIsReported(t *testing.T) {
 		t.Errorf("JobsFailed %d; want 1", s.JobsFailed)
 	}
 	// Failures are not cached: the same request computes again.
-	again, err := e.Submit(g, "dknux", algo.Options{Parts: 2, PopSize: 16, Islands: 16, Generations: 1})
+	again, err := e.Submit(stored(g), "dknux", algo.Options{Parts: 2, PopSize: 16, Islands: 16, Generations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

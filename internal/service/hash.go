@@ -4,8 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
+	"reflect"
+	"strconv"
 
 	"repro/internal/algo"
 	"repro/internal/graph"
@@ -20,26 +21,52 @@ func GraphHash(g *graph.Graph) string {
 	return "sha256:" + hex.EncodeToString(h[:])
 }
 
-// cacheKey derives the content address of a request: the graph's content
-// hash joined with the algorithm name and every result-relevant option. Two
+// keyedOptions names, in key order, every algo.Options field that can
+// change a partition, with the tag its value carries in a cache key.
+// neutralOptions names every field that never does: Workers and EvalWorkers
+// are pure speed knobs (the internal/par bit-identity contract), Ctx is
+// per-submission plumbing, and MultilevelStats is an output-only sink.
+// Together the two lists name each Options field exactly once, which a
+// reflection test enforces — a new option cannot silently drop out of the
+// key.
+var (
+	keyedOptions = []struct{ field, tag string }{
+		{"Parts", "p"}, {"Objective", "o"}, {"Seed", "s"},
+		{"Generations", "g"}, {"PopSize", "n"}, {"Islands", "i"},
+		{"RefinePasses", "r"}, {"CoarsestSize", "c"}, {"LanczosIter", "l"},
+	}
+	neutralOptions = []string{"Workers", "EvalWorkers", "Ctx", "MultilevelStats"}
+)
+
+// cacheKeyFromHash derives the content address of a request: the graph's
+// content hash joined with the algorithm name and every keyed option. Two
 // requests with the same key are guaranteed the same partition (the
 // registry's determinism contract), which is what makes returning a cached
-// result sound — and bit-identical.
-func cacheKey(g *graph.Graph, algoName string, o algo.Options) string {
-	return cacheKeyFromHash(GraphHash(g), algoName, o)
+// result sound — and bit-identical. Callers hold the graph's content
+// address already, so deriving a key costs string formatting, never a
+// rehash — this is what makes an N-spec batch over one stored graph exactly
+// one content hash, not N.
+func cacheKeyFromHash(graphHash, algoName string, o algo.Options) string {
+	b := []byte(graphHash + ":" + algoName + ":")
+	v := reflect.ValueOf(o)
+	for i, k := range keyedOptions {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendInt(append(b, k.tag...), v.FieldByName(k.field).Int(), 10)
+	}
+	return string(b)
 }
 
-// cacheKeyFromHash is cacheKey for callers that already hold the graph's
-// content address (the stored-graph submission path): deriving the key costs
-// string formatting, never a rehash — this is what makes an N-spec batch
-// over one stored graph exactly one content hash, not N.
-func cacheKeyFromHash(graphHash, algoName string, o algo.Options) string {
-	return fmt.Sprintf("%s:%s:p%d.o%d.s%d.g%d.n%d.i%d.r%d.c%d.l%d.t%d.f%d",
-		graphHash, algoName,
-		o.Parts, int(o.Objective), o.Seed,
-		o.Generations, o.PopSize, o.Islands,
-		o.RefinePasses, o.CoarsestSize, o.LanczosIter,
-		o.LPThreshold, o.FMParThreshold)
+// normalizeOptions zeroes the result-neutral fields, so they never reach a
+// cache key or a cached entry; the engine substitutes its own execution
+// width for the speed knobs.
+func normalizeOptions(o algo.Options) algo.Options {
+	v := reflect.ValueOf(&o).Elem()
+	for _, name := range neutralOptions {
+		v.FieldByName(name).SetZero()
+	}
+	return o
 }
 
 // hashGraph digests a graph's full content — structure, node and edge

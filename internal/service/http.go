@@ -66,38 +66,19 @@ type JobSpec struct {
 	LanczosIter  int `json:"lanczos_iter,omitempty"`
 }
 
-// PartitionRequest is the body of the legacy POST /v1/partition: one spec's
-// worth of fields plus an inline serialized graph. Format names the encoding
-// ("metis" is the default, "edgelist" and "text" the alternatives). Wait,
-// when true, holds the response until the job completes instead of returning
-// 202 immediately. Internally the daemon runs this through the same
+// PartitionRequest is the body of the legacy POST /v1/partition: one
+// JobSpec, whose fields sit at the top level of the JSON object, plus an
+// inline serialized graph. Format names the encoding ("metis" is the
+// default, "edgelist" and "text" the alternatives). Wait, when true, holds
+// the response until the job completes instead of returning 202
+// immediately. Internally the daemon runs this through the same
 // store-then-submit path as the v2 endpoints, so repeated inline uploads of
 // the same graph deduplicate onto one stored copy.
 type PartitionRequest struct {
-	Algo      string `json:"algo"`
-	Parts     int    `json:"parts"`
-	Seed      int64  `json:"seed"`
-	Format    string `json:"format,omitempty"`
-	Graph     string `json:"graph"`
-	Objective string `json:"objective,omitempty"` // "cut" (default), "maxcut", or "commvol"; legacy "total"/"worst" accepted
-
-	Generations  int  `json:"generations,omitempty"`
-	PopSize      int  `json:"pop_size,omitempty"`
-	Islands      int  `json:"islands,omitempty"`
-	RefinePasses int  `json:"refine_passes,omitempty"`
-	CoarsestSize int  `json:"coarsest_size,omitempty"`
-	LanczosIter  int  `json:"lanczos_iter,omitempty"`
-	Wait         bool `json:"wait,omitempty"`
-}
-
-// spec extracts the request's JobSpec — the legacy endpoint is exactly a
-// one-spec batch with an inline graph.
-func (r *PartitionRequest) spec() JobSpec {
-	return JobSpec{
-		Algo: r.Algo, Parts: r.Parts, Seed: r.Seed, Objective: r.Objective,
-		Generations: r.Generations, PopSize: r.PopSize, Islands: r.Islands,
-		RefinePasses: r.RefinePasses, CoarsestSize: r.CoarsestSize, LanczosIter: r.LanczosIter,
-	}
+	JobSpec
+	Format string `json:"format,omitempty"`
+	Graph  string `json:"graph"`
+	Wait   bool   `json:"wait,omitempty"`
 }
 
 // GraphPutRequest is the body of PUT /v1/graphs.
@@ -493,7 +474,7 @@ func (s *httpServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := make([]JobInfo, 0, len(req.Specs))
 	for i := range req.Specs {
-		info, err := s.e.SubmitStored(sg, req.Specs[i].Algo, allOpts[i])
+		info, err := s.e.Submit(sg, req.Specs[i].Algo, allOpts[i])
 		if err != nil {
 			// Mid-batch refusal (queue filled up under us): cancel what this
 			// request already submitted so the batch stays all-or-nothing.
@@ -538,8 +519,7 @@ func (s *httpServer) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if sg == nil {
 		return
 	}
-	spec := req.spec()
-	opts, rerr := optionsFromSpec(&spec)
+	opts, rerr := optionsFromSpec(&req.JobSpec)
 	if rerr != nil {
 		writeError(w, http.StatusBadRequest, rerr.Code, rerr.Message)
 		return
@@ -551,7 +531,7 @@ func (s *httpServer) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if req.Wait || r.URL.Query().Get("wait") == "1" {
 		// SubmitWait holds the job across the wait — unlike submit-then-poll
 		// it cannot lose the result to history eviction under load.
-		final, err := s.e.SubmitStoredWait(r.Context(), sg, req.Algo, opts)
+		final, err := s.e.SubmitWait(r.Context(), sg, req.Algo, opts)
 		if err != nil {
 			writeSubmitError(w, err)
 			return
@@ -559,7 +539,7 @@ func (s *httpServer) handlePartition(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, final)
 		return
 	}
-	info, err := s.e.SubmitStored(sg, req.Algo, opts)
+	info, err := s.e.Submit(sg, req.Algo, opts)
 	if err != nil {
 		writeSubmitError(w, err)
 		return

@@ -84,7 +84,7 @@ func TestHTTPSubmitWaitAndPoll(t *testing.T) {
 
 	// Synchronous submission.
 	status, data := postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "multilevel-kl", Parts: 4, Seed: 1994, Graph: payload, Wait: true,
+		JobSpec: service.JobSpec{Algo: "multilevel-kl", Parts: 4, Seed: 1994}, Graph: payload, Wait: true,
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
@@ -99,7 +99,7 @@ func TestHTTPSubmitWaitAndPoll(t *testing.T) {
 
 	// Asynchronous submission + ?wait=1 poll.
 	status, data = postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "multilevel-kl", Parts: 4, Seed: 7, Graph: payload,
+		JobSpec: service.JobSpec{Algo: "multilevel-kl", Parts: 4, Seed: 7}, Graph: payload,
 	})
 	if status != http.StatusAccepted && status != http.StatusOK {
 		t.Fatalf("async status %d: %s", status, data)
@@ -138,7 +138,7 @@ func TestHTTPConcurrentIdenticalRequests(t *testing.T) {
 	ts, e := newTestServer(t, service.Config{Workers: 2})
 	payload := metisPayload(t, 400)
 	req := service.PartitionRequest{
-		Algo: "multilevel-fm", Parts: 8, Seed: 3, Graph: payload, Wait: true,
+		JobSpec: service.JobSpec{Algo: "multilevel-fm", Parts: 8, Seed: 3}, Graph: payload, Wait: true,
 	}
 
 	var wg sync.WaitGroup
@@ -196,16 +196,16 @@ func TestHTTPConstraintViolationsAreStructured4xx(t *testing.T) {
 		req  service.PartitionRequest
 		code string
 	}{
-		{"unknown algo", service.PartitionRequest{Algo: "nope", Parts: 4, Graph: payload}, "unknown_algo"},
-		{"zero parts", service.PartitionRequest{Algo: "kl", Parts: 0, Graph: payload}, "bad_parts"},
-		{"parts exceed nodes", service.PartitionRequest{Algo: "kl", Parts: 101, Graph: payload}, "bad_parts"},
-		{"coords needed", service.PartitionRequest{Algo: "ibp", Parts: 4, Graph: payload}, "needs_coords"},
-		{"non power of two", service.PartitionRequest{Algo: "rsb", Parts: 3, Graph: payload}, "parts_not_power_of_two"},
-		{"bad objective", service.PartitionRequest{Algo: "kl", Parts: 4, Graph: payload, Objective: "median"}, "bad_objective"},
-		{"bad format", service.PartitionRequest{Algo: "kl", Parts: 4, Graph: payload, Format: "xml"}, "bad_format"},
-		{"empty graph", service.PartitionRequest{Algo: "kl", Parts: 4}, "bad_graph"},
-		{"malformed metis", service.PartitionRequest{Algo: "kl", Parts: 4, Graph: "3 9\n2\n1\n\n"}, "bad_graph"},
-		{"malformed edgelist", service.PartitionRequest{Algo: "kl", Parts: 2, Format: "edgelist", Graph: "0 0\n"}, "bad_graph"},
+		{"unknown algo", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "nope", Parts: 4}, Graph: payload}, "unknown_algo"},
+		{"zero parts", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 0}, Graph: payload}, "bad_parts"},
+		{"parts exceed nodes", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 101}, Graph: payload}, "bad_parts"},
+		{"coords needed", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "ibp", Parts: 4}, Graph: payload}, "needs_coords"},
+		{"non power of two", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "rsb", Parts: 3}, Graph: payload}, "parts_not_power_of_two"},
+		{"bad objective", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4, Objective: "median"}, Graph: payload}, "bad_objective"},
+		{"bad format", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}, Graph: payload, Format: "xml"}, "bad_format"},
+		{"empty graph", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}}, "bad_graph"},
+		{"malformed metis", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}, Graph: "3 9\n2\n1\n\n"}, "bad_graph"},
+		{"malformed edgelist", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 2}, Format: "edgelist", Graph: "0 0\n"}, "bad_graph"},
 	}
 	for _, c := range cases {
 		status, data := postPartition(t, ts.URL, c.req)
@@ -266,7 +266,7 @@ func TestHTTPStats(t *testing.T) {
 	payload := metisPayload(t, 120)
 	for i := 0; i < 2; i++ {
 		status, data := postPartition(t, ts.URL, service.PartitionRequest{
-			Algo: "kl", Parts: 2, Graph: payload, Wait: true,
+			JobSpec: service.JobSpec{Algo: "kl", Parts: 2}, Graph: payload, Wait: true,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, data)
@@ -309,7 +309,7 @@ func TestHTTPTextFormatCarriesCoords(t *testing.T) {
 		t.Fatal(err)
 	}
 	status, data := postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "ibp", Parts: 4, Format: "text", Graph: buf.String(), Wait: true,
+		JobSpec: service.JobSpec{Algo: "ibp", Parts: 4}, Format: "text", Graph: buf.String(), Wait: true,
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
@@ -326,8 +326,7 @@ func ExampleNewHandler() {
 	defer ts.Close()
 
 	body, _ := json.Marshal(service.PartitionRequest{
-		Algo: "grow", Parts: 2, Format: "edgelist",
-		Graph: "0 1\n1 2\n2 3\n3 0\n", Wait: true,
+		JobSpec: service.JobSpec{Algo: "grow", Parts: 2}, Format: "edgelist", Graph: "0 1\n1 2\n2 3\n3 0\n", Wait: true,
 	})
 	resp, err := http.Post(ts.URL+"/v1/partition", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -338,4 +337,40 @@ func ExampleNewHandler() {
 	_ = json.NewDecoder(resp.Body).Decode(&info)
 	fmt.Println(info.State, len(info.Result.Assign), "nodes")
 	// Output: done 4 nodes
+}
+
+// The legacy request keeps its flat wire format with JobSpec embedded: every
+// spec field is a top-level key, next to format, graph, and wait.
+func TestPartitionRequestWireFormat(t *testing.T) {
+	const wire = `{"algo":"multilevel-kl","parts":4,"seed":7,"objective":"maxcut",` +
+		`"generations":5,"pop_size":6,"islands":2,"refine_passes":3,"coarsest_size":40,` +
+		`"lanczos_iter":20,"format":"edgelist","graph":"0 1\n","wait":true}`
+	var req service.PartitionRequest
+	if err := json.Unmarshal([]byte(wire), &req); err != nil {
+		t.Fatal(err)
+	}
+	want := service.PartitionRequest{
+		JobSpec: service.JobSpec{
+			Algo: "multilevel-kl", Parts: 4, Seed: 7, Objective: "maxcut",
+			Generations: 5, PopSize: 6, Islands: 2, RefinePasses: 3, CoarsestSize: 40, LanczosIter: 20,
+		},
+		Format: "edgelist", Graph: "0 1\n", Wait: true,
+	}
+	if req != want {
+		t.Fatalf("decoded %+v, want %+v", req, want)
+	}
+	out, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, ref map[string]any
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(wire), &ref); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(ref) {
+		t.Fatalf("re-encoded %s, want the keys and values of %s", out, wire)
+	}
 }

@@ -124,7 +124,7 @@ func TestHTTPUploadOnceBatchBitIdentical(t *testing.T) {
 	legacy, _ := newTestServerOpts(t, service.Config{Workers: 2})
 	for i, j := range br.Jobs {
 		status, data := postPartition(t, legacy.URL, service.PartitionRequest{
-			Algo: "multilevel-kl", Parts: 4, Seed: int64(i), Graph: payload, Wait: true,
+			JobSpec: service.JobSpec{Algo: "multilevel-kl", Parts: 4, Seed: int64(i)}, Graph: payload, Wait: true,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("legacy submit %d: status %d: %s", i, status, data)
@@ -324,7 +324,7 @@ func TestHTTPQuotaAdmission(t *testing.T) {
 	payload := metisPayload(t, 100)
 
 	send := func(client string) (int, []byte, http.Header) {
-		body, _ := json.Marshal(service.PartitionRequest{Algo: "kl", Parts: 2, Graph: payload, Wait: true})
+		body, _ := json.Marshal(service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 2}, Graph: payload, Wait: true})
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/partition", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -192,7 +192,7 @@ func TestEngineJobLogRestore(t *testing.T) {
 	}
 	e := service.New(service.Config{Workers: 1, Log: l, Restore: restored})
 	g := testGraph(t)
-	info, err := e.Submit(g, "kl", algo.Options{Parts: 2, Seed: 7})
+	info, err := e.Submit(stored(g), "kl", algo.Options{Parts: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEngineJobLogRestore(t *testing.T) {
 		t.Errorf("restored result %+v", got.Result)
 	}
 	// New ids continue past the restored sequence — no collisions.
-	next, err := e2.Submit(g, "kl", algo.Options{Parts: 2, Seed: 8})
+	next, err := e2.Submit(stored(g), "kl", algo.Options{Parts: 2, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

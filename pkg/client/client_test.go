@@ -80,7 +80,7 @@ func TestClientEndToEnd(t *testing.T) {
 
 	// The legacy path through the same client.
 	legacy, err := cl.Partition(ctx, service.PartitionRequest{
-		Algo: "multilevel-kl", Parts: 4, Seed: 1, Graph: metisPayload(t, 250), Wait: true,
+		JobSpec: service.JobSpec{Algo: "multilevel-kl", Parts: 4, Seed: 1}, Graph: metisPayload(t, 250), Wait: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestClientTypedErrors(t *testing.T) {
 	cl := client.New(ts.URL, client.WithName("errs"))
 	ctx := context.Background()
 
-	_, err := cl.Partition(ctx, service.PartitionRequest{Algo: "nope", Parts: 2, Graph: metisPayload(t, 50)})
+	_, err := cl.Partition(ctx, service.PartitionRequest{JobSpec: service.JobSpec{Algo: "nope", Parts: 2}, Graph: metisPayload(t, 50)})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != "unknown_algo" || apiErr.Status != 400 {
 		t.Fatalf("got %v, want unknown_algo APIError", err)
