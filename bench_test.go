@@ -476,15 +476,3 @@ func BenchmarkMeshGeneration(b *testing.B) {
 		gen.Mesh(309, int64(i))
 	}
 }
-
-func BenchmarkKLBisect(b *testing.B) {
-	g := gen.PaperGraph(167)
-	rng := rand.New(rand.NewSource(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := partition.RandomBalanced(g.NumNodes(), 2, rng)
-		b.StartTimer()
-		kl.Bisect(g, p)
-	}
-}

@@ -62,7 +62,7 @@ func (cs *Classes) Group(g *graph.Graph, nodes []int) (members []int32, off []in
 			nColors = int(cl) + 1
 		}
 	}
-	cs.off = ensureInt32(cs.off, nColors+1)
+	cs.off = ensure(cs.off, nColors+1)
 	for i := range cs.off {
 		cs.off[i] = 0
 	}
@@ -72,8 +72,8 @@ func (cs *Classes) Group(g *graph.Graph, nodes []int) (members []int32, off []in
 	for cl := 0; cl < nColors; cl++ {
 		cs.off[cl+1] += cs.off[cl]
 	}
-	cs.members = ensureInt32(cs.members, len(nodes))
-	cs.fill = ensureInt32(cs.fill, nColors)
+	cs.members = ensure(cs.members, len(nodes))
+	cs.fill = ensure(cs.fill, nColors)
 	for i := range cs.fill {
 		cs.fill[i] = 0
 	}

@@ -1,36 +1,39 @@
-// Colored parallel boundary hill climbing: the uncoarsening-phase refiner of
-// the multilevel pipeline, parallelized without giving up the repository-wide
-// Workers determinism contract.
+// The colored boundary sweep: the uncoarsening-phase refiner of the
+// multilevel pipeline, parallelized without giving up the repository-wide
+// Workers determinism contract. It runs under two move rules — the fitness
+// climb (HillClimbColored) and size-constrained label propagation
+// (LabelPropagate) — which share everything except how a class member's
+// move is chosen and how a class commits.
 //
 // The serial climb (HillClimbEval) visits the boundary in ascending node
 // order and takes each node's best strictly-improving move immediately, so
 // every decision depends on all earlier ones — an inherently sequential
-// chain. The colored climb breaks the chain where it is provably slack: each
+// chain. The colored sweep breaks the chain where it is provably slack: each
 // pass walks the boundary in index-contiguous tiles, and a deterministic
 // coloring of each tile's induced subgraph (par.Color: greedy coloring in
 // descending hashed-id priority, the closed form of Jones–Plassmann) splits
 // the tile into color classes with no internal edges, so within a class no
 // committed move can change another member's neighborhood. That makes the
-// expensive per-node work — the O(deg) scan producing each member's
-// candidate parts and cut deltas — a pure function of the class-start
-// state, evaluated in parallel over par-owned index ranges. Commits then
-// replay serially within the class in descending provisional-gain order
-// (biggest class-start winner first, ascending node id on ties), folding
-// each candidate's cut deltas with the *current* part weights (and cuts), so
-// a class sweep is exactly a serial sweep of its members and a move is taken
-// only if it strictly improves the fitness at commit time; the
-// partition.Eval aggregates stay exact move by move.
+// expensive per-node work — the O(deg) scan gathering each member's edge
+// weight into every neighboring part, and the rule's score of those
+// candidates — a pure function of the class-start state, evaluated in
+// parallel over par-owned index ranges. Commits then replay serially within
+// the class in the rule's order against the *current* part weights (and
+// cuts), so the partition.Eval aggregates stay exact move by move.
 //
-// The whole climb is therefore the serial climb run over a deterministic
-// permutation of each pass's boundary — (tile, color, gain) order instead
-// of pure index order — which preserves its properties (monotone fitness,
-// convergence to a single-move local optimum; at tile size 1 it IS the
-// serial climb bit for bit) while exposing class-sized batches of gain
-// evaluation to the worker pool. The result is a pure function of (graph,
-// partition, objective): the worker count changes only which goroutine
-// computes which class member's deltas, never a decision — pinned by the
-// width bit-identity tests in this package and downstream in multilevel and
-// algo.
+// The climb commits in descending provisional-gain order (biggest
+// class-start winner first, ascending node id on ties) and takes a move only
+// if it strictly improves the fitness at commit time, so it is the serial
+// climb run over a deterministic permutation of each pass's boundary —
+// (tile, color, gain) order instead of pure index order — which preserves
+// its properties (monotone fitness, convergence to a single-move local
+// optimum; at tile size 1 it IS the serial climb bit for bit) while
+// exposing class-sized batches of gain evaluation to the worker pool. Label
+// propagation commits in ascending node order under a live part-weight cap.
+// Either way the result is a pure function of the inputs: the worker count
+// changes only which goroutine scores which class member, never a decision
+// — pinned by the width bit-identity and golden tests in this package and
+// downstream in multilevel and algo.
 package kl
 
 import (
@@ -44,13 +47,14 @@ import (
 	"repro/internal/partition"
 )
 
-// climberPool recycles colorClimber scratch across climbs: the multilevel
-// uncoarsening phase runs two climbs per level, and the O(n) bIndex plus the
-// tile/class buffers otherwise reallocate at every one. Pooled state never
-// changes results: every buffer is either fully rewritten before it is read
-// (members, cands, off, ...), restored to its zero invariant by the previous
-// climb (bIndex), or explicitly reset on checkout (the class stamps).
-var climberPool = sync.Pool{New: func() any { return new(colorClimber) }}
+// sweepPool recycles sweep scratch across sweeps of both move rules: the
+// multilevel uncoarsening phase runs several per level, and the O(n) bIndex
+// plus the tile/class buffers otherwise reallocate at every one. Pooled
+// state never changes results: every buffer is either fully rewritten before
+// it is read (members, cands, off, ...), restored to its zero invariant by
+// the previous sweep (bIndex), or explicitly reset on checkout (the class
+// stamps).
+var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
 
 // HillClimbColored performs boundary hill climbing with the colored parallel
 // sweep described above, spreading gain evaluation over cfg.Workers
@@ -71,50 +75,91 @@ var climberPool = sync.Pool{New: func() any { return new(colorClimber) }}
 // offspring climbing keeps the serial sweep; the multilevel uncoarsening
 // phase and the flat kl/fm registry algorithms use this one.
 func HillClimbColored(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
-	o, workers := cfg.Objective, cfg.Workers
+	s := sweepPool.Get().(*sweep)
+	defer sweepPool.Put(s)
+	return s.hillClimb(g, p, ev, cfg)
+}
+
+func (s *sweep) hillClimb(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	ev = boundaryEval(g, p, ev, cfg.Workers)
+	if cfg.Objective == partition.CommVolume && !ev.TracksCommVol() {
+		ev.ResetCommVolPar(g, p, cfg.Workers)
+	}
+	s.climb.o = cfg.Objective
+	s.climb.avg = g.TotalNodeWeight() / float64(p.Parts)
+	return s.run(g, p, ev, cfg, &s.climb)
+}
+
+// lpBalance caps every part's weight under label propagation at
+// (1+lpBalance) times the ideal (total node weight / parts).
+const lpBalance = 0.02
+
+// LabelPropagate refines p with greedy size-constrained label propagation,
+// the cheap refiner of the multilevel pipeline's million-node levels, in the
+// style of KaMinPar's LP refinement (Gottesbüren et al. '21). Each pass runs
+// the colored sweep once and moves every boundary node to the neighboring
+// part it is most strongly connected to, provided that strictly beats its
+// connection to its own part — so every move strictly reduces the total
+// edge cut — and the target stays under (1+0.02) times the ideal part
+// weight, checked against the live weights at commit time. Moves may only
+// shrink a part that is over the cap, never push one over it; draining
+// inherited imbalance is Rebalance's job. LP needs no gain heaps or
+// connectivity tables: O(deg) per boundary node.
+//
+// cfg.MaxPasses caps the passes (<= 0 selects 16, a safety bound — LP
+// converges in a handful), and cfg.Workers and cfg.Stop behave as in
+// HillClimbColored. cfg.Objective is ignored: the objective driven down is
+// always the total cut, the only one whose gain is O(deg) at the levels LP
+// runs on. ev is kept exactly in sync (a nil ev is rebuilt from p, and
+// boundary tracking is enabled if it is off); the number of moves made is
+// returned.
+func LabelPropagate(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	s := sweepPool.Get().(*sweep)
+	defer sweepPool.Put(s)
+	return s.labelPropagate(g, p, ev, cfg)
+}
+
+func (s *sweep) labelPropagate(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	ev = boundaryEval(g, p, ev, cfg.Workers)
+	if cfg.MaxPasses <= 0 {
+		cfg.MaxPasses = 16
+	}
+	return s.run(g, p, ev, cfg, lpRule{maxLoad: g.TotalNodeWeight() / float64(p.Parts) * (1 + lpBalance)})
+}
+
+// boundaryEval returns ev with boundary tracking enabled, building it from p
+// by the sharded parallel scan when ev is nil.
+func boundaryEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, workers int) *partition.Eval {
 	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, workers)
-	} else if !ev.TracksBoundary() {
+		return partition.NewEvalBoundaryPar(g, p, workers)
+	}
+	if !ev.TracksBoundary() {
 		ev.ResetBoundaryPar(g, p, workers)
 	}
-	if o == partition.CommVolume && !ev.TracksCommVol() {
-		ev.ResetCommVolPar(g, p, workers)
-	}
-	c := climberPool.Get().(*colorClimber)
-	c.g = g
-	c.p = p
-	c.o = o
-	c.ev = ev
-	c.avg = g.TotalNodeWeight() / float64(p.Parts)
-	c.workers = par.Workers(workers)
-	// Pooled class scratch carries stamps from earlier climbs; restart them
-	// so a long-lived process can never wrap a stamp into a stale seen entry
-	// (and so a scratch sized for fewer parts is rebuilt).
-	if len(c.scratch) > 0 && len(c.scratch[0].seen) >= p.Parts {
-		for w := range c.scratch {
-			sc := &c.scratch[w]
-			for i := range sc.seen {
-				sc.seen[i] = 0
-			}
-			sc.stamp = 1
-		}
-	} else {
-		c.scratch = nil
-	}
-	moves := 0
-	for pass := 0; cfg.MaxPasses <= 0 || pass < cfg.MaxPasses; pass++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			break
-		}
-		m := c.pass()
-		moves += m
-		if m == 0 {
-			break
-		}
-	}
-	c.g, c.p, c.ev = nil, nil, nil
-	climberPool.Put(c)
-	return moves
+	return ev
+}
+
+// moveRule is what distinguishes the sweep's two uses. The sweep gathers
+// every class member's candidates in parallel and hands each to score; it
+// then hands the whole class to commit.
+type moveRule interface {
+	// score returns class member j's (node v's) provisional move, read
+	// from its candidates (s.candsOf(j)) and weights (s.wFrom[j],
+	// s.wTot[j]). It runs in the parallel phase, so it may read only
+	// class-start state.
+	score(s *sweep, j, v int) provMove
+	// commit applies the class's moves serially through s.ev, in the
+	// rule's order and under its acceptance test, and returns how many it
+	// made.
+	commit(s *sweep, members []int32) int
+}
+
+// provMove is a class member's provisional best move against the
+// class-start state: the target part (-1 if none) and the rule's score of
+// moving there.
+type provMove struct {
+	to    int32
+	score float64
 }
 
 // moveCand is one candidate destination of a class member: the target part
@@ -134,28 +179,62 @@ type classScratch struct {
 	stamp int32
 }
 
-// colorClimber carries the state of one colored climb. All slices are
-// scratch reused across classes and passes.
-type colorClimber struct {
+// sweep carries the state of one colored sweep. All slices are scratch
+// reused across classes, passes and (through sweepPool) sweeps.
+type sweep struct {
 	g       *graph.Graph
 	p       *partition.Partition
-	o       partition.Objective
 	ev      *partition.Eval
-	avg     float64
 	workers int
 
 	classes Classes // per-tile coloring + class grouping (shared with package fm)
 
-	off      []int32 // candidate range start per class member (degree-prefix)
-	cnt      []int32 // candidates actually produced
-	wFrom    []float64
-	wTot     []float64
-	provGain []float64 // provisional best gain per member vs class-start state
-	order    []int32   // class commit order (provisional gain desc, id asc)
-	cands    []moveCand
-	scratch  []classScratch
+	off     []int32 // candidate range start per class member (degree-prefix)
+	cnt     []int32 // candidates actually produced
+	wFrom   []float64
+	wTot    []float64
+	prov    []provMove // each class member's provisional move
+	cands   []moveCand
+	scratch []classScratch
 
 	bsnap []int // per-pass boundary snapshot buffer
+
+	climb climbRule // the climb's rule state, pooled with the sweep
+}
+
+// run sweeps until a pass moves nothing, cfg.MaxPasses passes complete
+// (<= 0 means unlimited) or cfg.Stop reports true, and returns the number of
+// moves made.
+func (s *sweep) run(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, r moveRule) int {
+	s.g, s.p, s.ev = g, p, ev
+	s.workers = par.Workers(cfg.Workers)
+	// Pooled class scratch carries stamps from earlier sweeps; restart them
+	// so a long-lived process can never wrap a stamp into a stale seen entry
+	// (and rebuild a scratch sized for fewer workers or parts).
+	if len(s.scratch) < s.workers || len(s.scratch[0].seen) < p.Parts {
+		s.scratch = make([]classScratch, s.workers)
+		for w := range s.scratch {
+			s.scratch[w] = classScratch{seen: make([]int32, p.Parts), idx: make([]int32, p.Parts)}
+		}
+	}
+	for w := range s.scratch {
+		sc := &s.scratch[w]
+		clear(sc.seen)
+		sc.stamp = 1
+	}
+	moves := 0
+	for pass := 0; cfg.MaxPasses <= 0 || pass < cfg.MaxPasses; pass++ {
+		if cfg.Stop != nil && cfg.Stop() {
+			break
+		}
+		m := s.pass(r)
+		moves += m
+		if m == 0 {
+			break
+		}
+	}
+	s.g, s.p, s.ev = nil, nil, nil
+	return moves
 }
 
 // tileSize is the number of consecutive boundary nodes one colored tile
@@ -170,99 +249,57 @@ type colorClimber struct {
 const tileSize = 512
 
 // pass snapshots the boundary and sweeps it in ascending index order, one
-// tile at a time: each tile's induced subgraph is colored, each color
-// class's candidate moves are gain-evaluated in parallel, and commits
-// replay in ascending node order within the class. It returns the number of
-// moves.
-func (c *colorClimber) pass() int {
-	c.bsnap = c.ev.AppendBoundary(c.bsnap)
-	b := c.bsnap // ascending snapshot
-	if len(b) == 0 {
-		return 0
-	}
+// tile at a time: each tile's induced subgraph is colored, and its color
+// classes are swept in ascending color order. Adjacent nodes in different
+// tiles are never evaluated concurrently (tiles run sequentially), so only
+// intra-tile adjacency needs coloring. It returns the number of moves.
+func (s *sweep) pass(r moveRule) int {
+	s.bsnap = s.ev.AppendBoundary(s.bsnap)
+	b := s.bsnap // ascending snapshot
 	moves := 0
 	for lo := 0; lo < len(b); lo += tileSize {
-		hi := lo + tileSize
-		if hi > len(b) {
-			hi = len(b)
+		members, off := s.classes.Group(s.g, b[lo:min(lo+tileSize, len(b))])
+		for cl := 0; cl < len(off)-1; cl++ {
+			moves += s.sweepClass(members[off[cl]:off[cl+1]], r)
 		}
-		moves += c.sweepTile(b[lo:hi])
 	}
 	return moves
 }
 
-// sweepTile colors the tile's induced subgraph and sweeps its color classes
-// in ascending color order. Adjacent nodes in different tiles are never
-// evaluated concurrently (tiles run sequentially), so only intra-tile
-// adjacency needs coloring.
-func (c *colorClimber) sweepTile(tile []int) int {
-	members, off := c.classes.Group(c.g, tile)
-	moves := 0
-	for cl := 0; cl < len(off)-1; cl++ {
-		moves += c.sweepClass(members[off[cl]:off[cl+1]])
-	}
-	return moves
-}
-
-// sweepClass evaluates every class member's candidate moves in parallel
-// against the class-start state, then commits strictly-improving moves
-// serially in descending provisional-gain order (ascending node id on ties).
-//
-// The provisional gain — each member's best gain against the class-start
-// aggregates — is computed in the same parallel phase as the candidate
-// weights, so ordering by it costs no extra serial work, and it is a pure
-// function of class-start state, so the commit order is width-independent
-// like everything else here. Committing big winners first harvests more of
-// a class's gain before the members' moves interact (the same greedy order
-// FM's heap imposes globally); commitBest still re-evaluates every candidate
-// against the live aggregates at its commit slot, so correctness and the
-// strict-improvement rule are unchanged — only the order in which members
-// get their slot.
-func (c *colorClimber) sweepClass(members []int32) int {
+// sweepClass gathers every class member's candidate moves and scores them
+// in parallel against the class-start state — legal because class members
+// share no edge, so a member's neighborhood is untouched until its own
+// commit slot — then lets the rule commit the class serially.
+func (s *sweep) sweepClass(members []int32, r moveRule) int {
 	m := len(members)
-	c.off = ensureInt32(c.off, m+1)
-	c.cnt = ensureInt32(c.cnt, m)
-	c.wFrom = ensureFloat(c.wFrom, m)
-	c.wTot = ensureFloat(c.wTot, m)
-	c.provGain = ensureFloat(c.provGain, m)
-	c.order = ensureInt32(c.order, m)
-	c.off[0] = 0
+	s.off = ensure(s.off, m+1)
+	s.cnt = ensure(s.cnt, m)
+	s.wFrom = ensure(s.wFrom, m)
+	s.wTot = ensure(s.wTot, m)
+	s.prov = ensure(s.prov, m)
+	s.off[0] = 0
 	for j, v := range members {
-		c.off[j+1] = c.off[j] + int32(len(c.g.Neighbors(int(v))))
+		s.off[j+1] = s.off[j] + int32(len(s.g.Neighbors(int(v))))
 	}
-	if need := int(c.off[m]); cap(c.cands) < need {
-		c.cands = make([]moveCand, need)
-	} else {
-		c.cands = c.cands[:need]
-	}
-	if len(c.scratch) < c.workers {
-		c.scratch = make([]classScratch, c.workers)
-		for w := range c.scratch {
-			c.scratch[w] = classScratch{
-				seen:  make([]int32, c.p.Parts),
-				idx:   make([]int32, c.p.Parts),
-				stamp: 1,
-			}
-		}
-	}
-	assign := c.p.Assign
+	s.cands = ensure(s.cands, int(s.off[m]))
+	assign := s.p.Assign
 	// Tiny classes run inline: the evaluation is a pure function into
 	// index-owned slots either way (so the cutoff cannot change results),
 	// and goroutine handoff would cost more than the work itself.
-	workers := c.workers
+	workers := s.workers
 	if m < 32 {
 		workers = 1
 	}
 	par.For(workers, m, func(worker, lo, hi int) {
-		sc := &c.scratch[worker]
+		sc := &s.scratch[worker]
 		for j := lo; j < hi; j++ {
 			v := int(members[j])
 			from := assign[v]
-			base := int(c.off[j])
+			base := int(s.off[j])
 			k := int32(0)
 			var wf, wt float64
-			ws := c.g.EdgeWeights(v)
-			for i, u := range c.g.Neighbors(v) {
+			ws := s.g.EdgeWeights(v)
+			for i, u := range s.g.Neighbors(v) {
 				w := ws[i]
 				wt += w
 				q := assign[u]
@@ -273,46 +310,75 @@ func (c *colorClimber) sweepClass(members []int32) int {
 				if sc.seen[q] != sc.stamp {
 					sc.seen[q] = sc.stamp
 					sc.idx[q] = k
-					c.cands[base+int(k)] = moveCand{to: int32(q), wTo: w}
+					s.cands[base+int(k)] = moveCand{to: int32(q), wTo: w}
 					k++
 				} else {
-					c.cands[base+int(sc.idx[q])].wTo += w
+					s.cands[base+int(sc.idx[q])].wTo += w
 				}
 			}
 			sc.stamp++
-			c.cnt[j] = k
-			c.wFrom[j] = wf
-			c.wTot[j] = wt
-			// Provisional best gain vs the class-start aggregates (ev is
-			// read-only during the parallel phase), for the commit order.
-			best := math.Inf(-1)
-			for t := int32(0); t < k; t++ {
-				cd := c.cands[base+int(t)]
-				wOther := wt - wf - cd.wTo
-				if fit := c.ev.MoveGainFromWeights(c.g, c.p, c.o, c.avg, v, int(cd.to), wf, cd.wTo, wOther); fit > best {
-					best = fit
-				}
-			}
-			c.provGain[j] = best
+			s.cnt[j] = k
+			s.wFrom[j] = wf
+			s.wTot[j] = wt
+			s.prov[j] = r.score(s, j, v)
 		}
 	})
-	// Commit order: provisional gain descending, node id ascending on ties.
-	// Members are ascending within a class, so comparing the j indices is the
-	// id tie-break; the order is total (indices are distinct), hence one
-	// fixed point for the sort and any width.
-	order := c.order[:m]
-	for j := range order {
-		order[j] = int32(j)
+	return r.commit(s, members)
+}
+
+// candsOf returns class member j's candidates in first-seen neighbor order.
+func (s *sweep) candsOf(j int) []moveCand {
+	return s.cands[s.off[j] : s.off[j]+s.cnt[j]]
+}
+
+// climbRule is the fitness climb: score by the best gain under o against
+// the class-start aggregates, commit in descending provisional-gain order
+// (ascending node id on ties), each member taking its best strictly
+// improving move against the live aggregates.
+//
+// The provisional gain is computed in the parallel phase, so ordering by it
+// costs no extra serial work, and it is a pure function of class-start
+// state, so the commit order is width-independent like everything else
+// here. Committing big winners first harvests more of a class's gain before
+// the members' moves interact (the same greedy order FM's heap imposes
+// globally); commitBest still re-evaluates every candidate against the live
+// aggregates at its commit slot, so correctness and the strict-improvement
+// rule are unchanged — only the order in which members get their slot.
+type climbRule struct {
+	o     partition.Objective
+	avg   float64
+	order []int32 // class commit order (provisional gain desc, id asc)
+}
+
+func (r *climbRule) score(s *sweep, j, v int) provMove {
+	wf, wt := s.wFrom[j], s.wTot[j]
+	best := provMove{to: -1, score: math.Inf(-1)}
+	for _, cd := range s.candsOf(j) {
+		wOther := wt - wf - cd.wTo
+		if fit := s.ev.MoveGainFromWeights(s.g, s.p, r.o, r.avg, v, int(cd.to), wf, cd.wTo, wOther); fit > best.score {
+			best = provMove{to: cd.to, score: fit}
+		}
 	}
-	slices.SortFunc(order, func(ja, jb int32) int {
-		if d := cmp.Compare(c.provGain[jb], c.provGain[ja]); d != 0 {
+	return best
+}
+
+func (r *climbRule) commit(s *sweep, members []int32) int {
+	// Members are ascending within a class, so comparing the j indices is
+	// the id tie-break; the order is total (indices are distinct), hence
+	// one fixed point for the sort and any width.
+	r.order = ensure(r.order, len(members))
+	for j := range r.order {
+		r.order[j] = int32(j)
+	}
+	slices.SortFunc(r.order, func(ja, jb int32) int {
+		if d := cmp.Compare(s.prov[jb].score, s.prov[ja].score); d != 0 {
 			return d
 		}
 		return cmp.Compare(ja, jb)
 	})
 	moves := 0
-	for _, j := range order {
-		if c.commitBest(int(j), int(members[j])) {
+	for _, j := range r.order {
+		if r.commitBest(s, int(j), int(members[j])) {
 			moves++
 		}
 	}
@@ -332,15 +398,14 @@ func (c *colorClimber) sweepClass(members []int32) int {
 // CommVolume gain ignores the triples and rescans v's neighbor counts inside
 // MoveGainFromWeights — against the Eval's current state, which is exactly
 // the serial semantics (and still sound under the no-shared-edge guarantee).
-func (c *colorClimber) commitBest(j, v int) bool {
-	wf, wt := c.wFrom[j], c.wTot[j]
+func (r *climbRule) commitBest(s *sweep, j, v int) bool {
+	wf, wt := s.wFrom[j], s.wTot[j]
 	bestTo := -1
 	var bestFit float64
-	for k := 0; k < int(c.cnt[j]); k++ {
-		cd := c.cands[int(c.off[j])+k]
+	for _, cd := range s.candsOf(j) {
 		to := int(cd.to)
 		wOther := wt - wf - cd.wTo
-		fit := c.ev.MoveGainFromWeights(c.g, c.p, c.o, c.avg, v, to, wf, cd.wTo, wOther)
+		fit := s.ev.MoveGainFromWeights(s.g, s.p, r.o, r.avg, v, to, wf, cd.wTo, wOther)
 		if fit > 1e-12 && (bestTo < 0 || fit > bestFit) {
 			bestTo, bestFit = to, fit
 		}
@@ -348,8 +413,40 @@ func (c *colorClimber) commitBest(j, v int) bool {
 	if bestTo < 0 {
 		return false
 	}
-	c.ev.Move(c.g, c.p, v, bestTo)
+	s.ev.Move(s.g, s.p, v, bestTo)
 	return true
+}
+
+// lpRule is label propagation: score by the label vote (the most strongly
+// connected foreign part, first-seen order breaking ties, kept only if it
+// strictly beats the home part), commit in ascending node order each vote
+// whose target stays under maxLoad with the live part weights (earlier
+// commits in the class may have filled it).
+type lpRule struct {
+	maxLoad float64
+}
+
+func (lpRule) score(s *sweep, j, _ int) provMove {
+	best := provMove{to: -1, score: s.wFrom[j]}
+	for _, cd := range s.candsOf(j) {
+		if cd.wTo > best.score {
+			best = provMove{to: cd.to, score: cd.wTo}
+		}
+	}
+	return best
+}
+
+func (r lpRule) commit(s *sweep, members []int32) int {
+	moves := 0
+	for j, v := range members {
+		to := s.prov[j].to
+		if to < 0 || s.ev.Weights[to]+s.g.NodeWeight(int(v)) > r.maxLoad {
+			continue
+		}
+		s.ev.Move(s.g, s.p, int(v), int(to))
+		moves++
+	}
+	return moves
 }
 
 // rebalCand is a candidate of the parallel rebalance argmax; the total order
@@ -370,16 +467,11 @@ func betterRebal(a, b rebalCand) rebalCand {
 	return a
 }
 
-func ensureInt32(s []int32, n int) []int32 {
+// ensure returns s resliced to length n, reallocating only when its
+// capacity is short; the contents are stale and must be rewritten.
+func ensure[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func ensureFloat(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -18,7 +18,7 @@ func TestMoveDeltaMatchesFullEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, o := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
 		p := partition.RandomBalanced(50, 4, rng)
-		c := newClimber(g, p, o)
+		c := &climber{g: g, p: p, o: o, ev: partition.NewEval(g, p), avg: g.TotalNodeWeight() / float64(p.Parts)}
 		for trial := 0; trial < 300; trial++ {
 			v := rng.Intn(50)
 			to := rng.Intn(4)

@@ -1,14 +1,16 @@
-// Package kl provides local refinement of partitions: classic Kernighan–Lin
-// pairwise-swap bisection improvement, and the boundary hill climbing of the
-// paper's §3.6 ("only the boundary points of each part are examined to see if
-// migrating them to the appropriate neighboring part improves fitness").
+// Package kl provides local refinement of partitions by boundary migration,
+// the hill climbing of the paper's §3.6 ("only the boundary points of each
+// part are examined to see if migrating them to the appropriate neighboring
+// part improves fitness").
 //
 // The boundary climb comes in two distinct deterministic algorithms: the
 // serial HillClimb/HillClimbEval, the GA's offspring climber, and the
 // colored HillClimbColored (colored.go), the multilevel and flat-kl climber.
-// Refine chains the colored climb with Rebalance; the colored climb and
-// Refine take one Config (objective, passes, workers, stop), and Rebalance
-// is one function at every worker width.
+// The colored sweep also runs size-constrained label propagation
+// (LabelPropagate), the multilevel refiner of million-node levels, as a
+// second move rule. Refine chains the colored climb with Rebalance; the
+// colored sweep and Refine take one Config (objective, passes, workers,
+// stop), and Rebalance is one function at every worker width.
 package kl
 
 import (
@@ -53,16 +55,6 @@ func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective
 		avg: g.TotalNodeWeight() / float64(p.Parts),
 	}
 	return c.climb(maxPasses)
-}
-
-func newClimber(g *graph.Graph, p *partition.Partition, o partition.Objective) *climber {
-	return &climber{
-		g:   g,
-		p:   p,
-		o:   o,
-		ev:  partition.NewEval(g, p),
-		avg: g.TotalNodeWeight() / float64(p.Parts),
-	}
 }
 
 func (c *climber) climb(maxPasses int) int {
@@ -145,104 +137,15 @@ scan:
 	return true
 }
 
-// Bisect improves a 2-way partition with the classic Kernighan–Lin pass
-// structure: compute gains, greedily swap the best unlocked pair, lock both,
-// repeat to exhaustion, then keep the prefix of swaps with the best
-// cumulative gain. Repeats passes until one yields no improvement. The
-// partition must have exactly 2 parts; part sizes are preserved exactly
-// (KL swaps, never moves). Returns the total cut reduction achieved.
-func Bisect(g *graph.Graph, p *partition.Partition) float64 {
-	if p.Parts != 2 {
-		panic("kl: Bisect requires a 2-way partition")
-	}
-	n := g.NumNodes()
-	total := 0.0
-	for {
-		// D[v] = external - internal cost of v.
-		d := make([]float64, n)
-		for v := 0; v < n; v++ {
-			ws := g.EdgeWeights(v)
-			for i, u := range g.Neighbors(v) {
-				if p.Assign[u] == p.Assign[v] {
-					d[v] -= ws[i]
-				} else {
-					d[v] += ws[i]
-				}
-			}
-		}
-		locked := make([]bool, n)
-		type swap struct {
-			a, b int
-			gain float64
-		}
-		var seq []swap
-		work := p.Clone()
-		for {
-			// Find best unlocked cross pair. O(n²) per level: fine for the
-			// paper's graph sizes; the GA uses HillClimb, not this, in its
-			// inner loop.
-			bestA, bestB, bestGain := -1, -1, math.Inf(-1)
-			for a := 0; a < n; a++ {
-				if locked[a] || work.Assign[a] != 0 {
-					continue
-				}
-				for b := 0; b < n; b++ {
-					if locked[b] || work.Assign[b] != 1 {
-						continue
-					}
-					gain := d[a] + d[b] - 2*g.EdgeWeightBetween(a, b)
-					if gain > bestGain {
-						bestA, bestB, bestGain = a, b, gain
-					}
-				}
-			}
-			if bestA < 0 {
-				break
-			}
-			seq = append(seq, swap{bestA, bestB, bestGain})
-			locked[bestA], locked[bestB] = true, true
-			work.Assign[bestA], work.Assign[bestB] = 1, 0
-			// Update D values of unlocked nodes.
-			for _, x := range []int{bestA, bestB} {
-				ws := g.EdgeWeights(x)
-				for i, u := range g.Neighbors(x) {
-					if locked[u] {
-						continue
-					}
-					// After x switched sides: edges to u flip internal/external.
-					if work.Assign[u] == work.Assign[x] {
-						d[u] -= 2 * ws[i]
-					} else {
-						d[u] += 2 * ws[i]
-					}
-				}
-			}
-		}
-		// Best prefix.
-		bestK, bestSum, sum := 0, 0.0, 0.0
-		for i, s := range seq {
-			sum += s.gain
-			if sum > bestSum {
-				bestK, bestSum = i+1, sum
-			}
-		}
-		if bestK == 0 {
-			return total
-		}
-		for i := 0; i < bestK; i++ {
-			p.Assign[seq[i].a], p.Assign[seq[i].b] = p.Assign[seq[i].b], p.Assign[seq[i].a]
-		}
-		total += bestSum
-	}
-}
-
-// Config parameterizes the colored climb (HillClimbColored) and Refine.
+// Config parameterizes the colored sweep under both move rules
+// (HillClimbColored, LabelPropagate) and Refine; LabelPropagate ignores
+// Objective.
 type Config struct {
 	// Objective selects the cost the climb's gains target; the zero value
 	// is TotalCut.
 	Objective partition.Objective
-	// MaxPasses caps the number of climbing passes; <= 0 means until a pass
-	// moves no node.
+	// MaxPasses caps the number of sweep passes; <= 0 means until a pass
+	// moves no node (LabelPropagate: 16).
 	MaxPasses int
 	// Workers bounds the goroutines of the colored gain evaluation and the
 	// rebalance argmax (<= 0 selects GOMAXPROCS); a pure speed knob: every
@@ -265,9 +168,7 @@ type Config struct {
 // sharded parallel scan) with boundary tracking enabled, so even the flat
 // path pays the full-graph scan once instead of once per pass.
 func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) {
-	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
-	}
+	ev = boundaryEval(g, p, ev, cfg.Workers)
 	HillClimbColored(g, p, ev, cfg)
 	if cfg.Stop != nil && cfg.Stop() {
 		return
@@ -284,19 +185,21 @@ func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Conf
 // single-node moves, and exactly the old "ideal count + 1" rule on unit
 // weights. Balancing weight rather than node count is what makes the coarse
 // levels of the multilevel pipeline (where node weights are member counts)
-// and weighted workloads come out right. When ev is non-nil its aggregates
-// supply the part weights and are kept in sync with every move; a tracked
-// boundary set additionally replaces the per-move O(V+E) boundary rescans,
-// and its argmax is reduced over `workers` goroutines (<= 0 selects
-// GOMAXPROCS). The scan's total order (score descending, node id ascending)
-// plus par.Reduce's fixed chunk grid make the winner independent of visit
-// order and width, so every width picks exactly the node the serial scan
-// picks.
+// and weighted workloads come out right. ev must track the boundary (it
+// panics otherwise): its aggregates supply the part weights and are kept in
+// sync with every move, and each move's argmax over the tracked boundary
+// set is reduced over `workers` goroutines (<= 0 selects GOMAXPROCS). The
+// scan's total order (score descending, node id ascending) plus
+// par.Reduce's fixed chunk grid make the winner independent of visit order
+// and width, so every width picks exactly the node a serial scan picks.
 // The objective selects the node-cost model: the cut objectives score a
 // candidate by edge weight (edges gained into the destination minus edges
 // left behind), CommVolume by the negated volume delta of the move when the
 // Eval tracks per-(node, part) counts.
 func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, workers int) {
+	if !ev.TracksBoundary() {
+		panic("kl: Rebalance called on Eval without boundary tracking")
+	}
 	n := g.NumNodes()
 	ideal := g.TotalNodeWeight() / float64(p.Parts)
 	var maxNodeW float64
@@ -305,12 +208,7 @@ func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 			maxNodeW = w
 		}
 	}
-	var weights []float64
-	if ev != nil {
-		weights = ev.Weights
-	} else {
-		weights = p.PartWeights(g)
-	}
+	weights := ev.Weights
 	for iter := 0; iter < n; iter++ {
 		over, under := -1, -1
 		for q, w := range weights {
@@ -333,7 +231,7 @@ func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 			if int(p.Assign[v]) != over {
 				return 0, false
 			}
-			if o == partition.CommVolume && ev != nil && ev.TracksCommVol() {
+			if o == partition.CommVolume && ev.TracksCommVol() {
 				return -ev.CommVolDelta(g, p, v, under), true
 			}
 			var s float64
@@ -348,24 +246,15 @@ func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 			}
 			return s, true
 		}
-		best := rebalCand{v: -1, score: math.Inf(-1)}
-		if ev != nil && ev.TracksBoundary() {
-			best = par.Reduce(workers, ev.BoundaryLen(), best,
-				func(acc rebalCand, i int) rebalCand {
-					v := ev.BoundaryNode(i)
-					s, ok := score(v)
-					if !ok {
-						return acc
-					}
-					return betterRebal(acc, rebalCand{v: v, score: s})
-				}, betterRebal)
-		} else {
-			for _, v := range p.BoundaryNodes(g) {
-				if s, ok := score(v); ok {
-					best = betterRebal(best, rebalCand{v: v, score: s})
+		best := par.Reduce(workers, ev.BoundaryLen(), rebalCand{v: -1, score: math.Inf(-1)},
+			func(acc rebalCand, i int) rebalCand {
+				v := ev.BoundaryNode(i)
+				s, ok := score(v)
+				if !ok {
+					return acc
 				}
-			}
-		}
+				return betterRebal(acc, rebalCand{v: v, score: s})
+			}, betterRebal)
 		bestV := best.v
 		if bestV < 0 {
 			// No boundary node in the overweight part touches anything:
@@ -384,13 +273,6 @@ func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 		// oscillate: over only triggers when W(over) > ideal + maxNodeW,
 		// under never exceeds the ideal (the minimum is at most the mean),
 		// and the moved node weighs at most maxNodeW.
-		if ev != nil {
-			ev.Move(g, p, bestV, under)
-		} else {
-			wv := g.NodeWeight(bestV)
-			weights[over] -= wv
-			weights[under] += wv
-			p.Assign[bestV] = uint16(under)
-		}
+		ev.Move(g, p, bestV, under)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -59,62 +58,6 @@ func TestHillClimbMaxPasses(t *testing.T) {
 	}
 }
 
-func TestBisectPanicsOnKWay(t *testing.T) {
-	g := gen.Mesh(20, 1)
-	p := partition.New(20, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for 4-way Bisect")
-		}
-	}()
-	Bisect(g, p)
-}
-
-func TestBisectPreservesSizesAndImprovesCut(t *testing.T) {
-	g := gen.PaperGraph(144)
-	rng := rand.New(rand.NewSource(11))
-	p := partition.RandomBalanced(g.NumNodes(), 2, rng)
-	sizesBefore := p.PartSizes()
-	cutBefore := p.CutSize(g)
-	gain := Bisect(g, p)
-	sizesAfter := p.PartSizes()
-	cutAfter := p.CutSize(g)
-	if sizesBefore[0] != sizesAfter[0] || sizesBefore[1] != sizesAfter[1] {
-		t.Errorf("KL changed part sizes: %v -> %v", sizesBefore, sizesAfter)
-	}
-	if cutAfter > cutBefore {
-		t.Errorf("KL worsened cut: %v -> %v", cutBefore, cutAfter)
-	}
-	if gain < 0 {
-		t.Errorf("negative total gain %v", gain)
-	}
-	// Gain must equal the actual cut reduction.
-	if diff := (cutBefore - cutAfter) - gain; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("reported gain %v != cut reduction %v", gain, cutBefore-cutAfter)
-	}
-}
-
-func TestBisectOnKnownGraph(t *testing.T) {
-	// Two K4 cliques joined by one edge: optimal bisection separates the
-	// cliques, cut = 1. Start from the worst split (2 nodes of each clique
-	// on each side).
-	b := graph.NewBuilder(8)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			b.AddEdge(i, j, 1)
-			b.AddEdge(i+4, j+4, 1)
-		}
-	}
-	b.AddEdge(0, 4, 1)
-	g := b.Build()
-	p := partition.New(8, 2)
-	p.Assign = []uint16{0, 0, 1, 1, 0, 0, 1, 1}
-	Bisect(g, p)
-	if cut := p.CutSize(g); cut != 1 {
-		t.Errorf("KL cut = %v, want 1 (sides %v)", cut, p.Assign)
-	}
-}
-
 func TestRefineRestoresBalance(t *testing.T) {
 	g := gen.PaperGraph(139)
 	rng := rand.New(rand.NewSource(13))
@@ -149,24 +92,6 @@ func TestQuickHillClimbMonotone(t *testing.T) {
 		before := p.Fitness(g, o)
 		HillClimb(g, p, o, 3)
 		return p.Fitness(g, o) >= before && p.Validate(g) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: KL Bisect never increases the cut and never changes part sizes.
-func TestQuickKLInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(40)
-		g := gen.Mesh(n, seed)
-		p := partition.RandomBalanced(n, 2, rng)
-		s0 := p.PartSizes()
-		c0 := p.CutSize(g)
-		Bisect(g, p)
-		s1 := p.PartSizes()
-		return s0[0] == s1[0] && s0[1] == s1[1] && p.CutSize(g) <= c0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -77,7 +77,7 @@ func TestMoveDeltaMatchesFullEvaluationAllObjectives(t *testing.T) {
 		n := g.NumNodes()
 		for _, o := range partition.Objectives() {
 			p := partition.RandomBalanced(n, 4, rng)
-			c := newClimber(g, p, o)
+			c := &climber{g: g, p: p, o: o, ev: partition.NewEval(g, p), avg: g.TotalNodeWeight() / float64(p.Parts)}
 			if o == partition.CommVolume {
 				c.ev.EnableCommVol(g, p)
 			}

@@ -96,7 +96,7 @@ func TestRebalanceBalancesWeightNotCount(t *testing.T) {
 		}
 	}
 	before := p.PartWeights(g)
-	Rebalance(g, p, nil, partition.TotalCut, 1)
+	Rebalance(g, p, partition.NewEvalBoundary(g, p), partition.TotalCut, 1)
 	after := p.PartWeights(g)
 	ideal := g.TotalNodeWeight() / parts
 	if after[0] >= before[0] {
@@ -129,7 +129,7 @@ func TestRebalanceWeightedDoesNotOscillate(t *testing.T) {
 		p.Assign[v] = 1
 	}
 	want := append([]uint16(nil), p.Assign...)
-	Rebalance(g, p, nil, partition.TotalCut, 1)
+	Rebalance(g, p, partition.NewEvalBoundary(g, p), partition.TotalCut, 1)
 	for v, q := range p.Assign {
 		if q != want[v] {
 			t.Fatalf("rebalance moved node %d (weight %v) without improving balance", v, g.NodeWeight(v))

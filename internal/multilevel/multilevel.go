@@ -22,13 +22,15 @@
 // changes wall time, never the result. Coarsening splits matching into a
 // parallel propose phase plus a serial claim sweep; uncoarsening fills each
 // projection and rebuilds each level's boundary over par-owned index ranges,
-// and refines with the colored boundary climb (kl.HillClimbColored), FM with
-// parallel heap seeding, and the parallel rebalance argmax — all of which
-// are bit-identical at every width by construction.
+// and refines with the colored boundary sweep (kl.HillClimbColored and
+// kl.LabelPropagate), FM with parallel heap seeding, and the parallel
+// rebalance argmax — all of which are bit-identical at every width by
+// construction.
 //
 // Which refiner runs on a level follows from its size, not from an option,
-// as in KaMinPar: label propagation plus a rebalance from 250k nodes up,
-// Config.Refiner below, with FM on the colored schedule from 50k nodes up.
+// as in KaMinPar: label propagation (kl.LabelPropagate) plus a rebalance
+// from 250k nodes up, Config.Refiner below, with FM on the colored schedule
+// from 50k nodes up.
 package multilevel
 
 import (
@@ -41,7 +43,6 @@ import (
 	"repro/internal/fm"
 	"repro/internal/graph"
 	"repro/internal/kl"
-	"repro/internal/lp"
 	"repro/internal/par"
 	"repro/internal/partition"
 )
@@ -265,7 +266,7 @@ type Stats struct {
 	// uncoarsening wall time to the label-propagation sweeps, the KL colored
 	// climbs (including rebalance), and the FM passes individually. The three
 	// sum to slightly less than Refine (loop overhead is unattributed).
-	RefineLP    time.Duration // lp.RefineEval on levels of at least 250k nodes
+	RefineLP    time.Duration // kl.LabelPropagate on levels of at least 250k nodes
 	RefineClimb time.Duration // kl climbs + rebalance
 	RefineFM    time.Duration // fm.RefineEval / fm.RefineEvalPar
 
@@ -276,7 +277,7 @@ type Stats struct {
 }
 
 // lpMinNodes is the level size from which uncoarsening refines with the
-// size-constrained label-propagation sweep (package lp) instead of the
+// size-constrained label-propagation sweep (kl.LabelPropagate) instead of the
 // configured KL/FM refiner, whose Theta(n·parts) gain structures dominate
 // wall time and allocation up there. 250k nodes sits above every committed
 // sub-million benchmark case.
@@ -330,7 +331,6 @@ type hierarchyScratch struct {
 	coarse   [][]int // per-level CoarseOf buffers (pool reuse only)
 	contract graph.ContractScratch
 	fm       fm.Scratch
-	lp       lp.Scratch
 	// pingpong holds the two intermediate-level partitions the uncoarsening
 	// loop alternates between; the finest level allocates fresh (it is the
 	// returned result).
@@ -564,7 +564,7 @@ func vcycle(g *graph.Graph, cfg Config, inner Partitioner, lpMin, fmParMin int, 
 			// here, so refine with the size-constrained label-propagation
 			// sweep instead, then drain any inherited imbalance.
 			t := time.Now()
-			lp.RefineEval(lvl.Graph, fine, ev, lp.Config{MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop, Scratch: &hs.lp})
+			kl.LabelPropagate(lvl.Graph, fine, ev, klCfg)
 			stats.RefineLP += time.Since(t)
 			rebalance()
 		case c.Refiner == RefineKLFM:
